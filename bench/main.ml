@@ -1019,10 +1019,6 @@ let e18 () =
         80.0 );
     ]
   in
-  let monitors_for = function
-    | `Gcs -> Vsgc_spec.All.net_selfstab ()
-    | `Sym -> Vsgc_spec.All.net_sym ()
-  in
   rowf "%4s %6s %16s  %9s  %7s %5s %5s %6s  %9s  %10s@." "n" "arm" "mode"
     "acked" "cmds/s" "p50" "p99" "p999" "wire pkts" "wire bytes";
   List.iter
@@ -1033,7 +1029,7 @@ let e18 () =
             let t0 = Unix.gettimeofday () in
             let r =
               Kv_system.slo_run ~seed:18 ~batch:true ~arm
-                ~monitors:(monitors_for arm) ~n ~n_servers:2 ~homes ~clients
+                ~monitors:(Vsgc_spec.All.net_arm arm) ~n ~n_servers:2 ~homes ~clients
                 ~rate ~count ~retransmit_after ~script ()
             in
             (r, Unix.gettimeofday () -. t0)

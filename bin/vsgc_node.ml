@@ -156,8 +156,10 @@ let linger_arg =
 let run_client id attach listen peers seed members send expect linger timeout =
   let me = Node_id.client id in
   let tr = Tcp.create (Tcp.config ~listen ~peers me) in
+  let app = Node.client_app (Vsgc_core.Client.component id) in
   let node =
-    Node.create ~seed (Node.Client_node { proc = id; attach = Server.of_int attach })
+    Node.create ~seed
+      (Node.Client_node { proc = id; attach = Server.of_int attach; app })
   in
   Fmt.pr "READY %s@." (Node_id.to_string me);
   let deadline = deadline_of timeout in
@@ -238,14 +240,13 @@ let spin_kv node tr =
   List.iter (fun (dst, pkt) -> Transport.send tr dst pkt) (Kv_node.step node);
   List.length events
 
-let run_kv_server arm id attach listen peers seed batch timeout =
+let run_kv_server arm arm_name id attach listen peers seed batch timeout =
   let me = Node_id.client id in
   let tr = Tcp.create (Tcp.config ~listen ~peers me) in
   let node =
     Kv_node.create ~seed ~batch ~arm ~attach:(Server.of_int attach) id
   in
-  Fmt.pr "READY %s batch=%b arm=%s@." (Node_id.to_string me) batch
-    (match arm with `Gcs -> "gcs" | `Sym -> "sym");
+  Fmt.pr "READY %s batch=%b arm=%s@." (Node_id.to_string me) batch arm_name;
   let deadline = deadline_of timeout in
   let seen_views = ref 0 and last_digest = ref "" in
   let report () =
@@ -390,46 +391,25 @@ let client_cmd =
       $ members_arg $ send_arg $ expect_arg $ linger_arg
       $ timeout_arg ~default:30.0)
 
-let kv_server_cmd =
-  let doc = "run a replicated KV server (GCS end-point + strict replica)" in
+(* The symmetric arm (DESIGN.md §16) reuses the whole KV edge — same
+   Kv_req/Kv_resp packets, same store, same load protocol — with the
+   sequencer-based replica swapped for the Skeen-ordered one, so both
+   roles are one term. The role name alone fixes the arm and the name
+   the READY line prints for it, so the two cannot disagree. *)
+let kv_server_cmd name doc =
+  let arm, arm_name =
+    match name with "sym-server" -> (`Sym, "sym") | _ -> (`Gcs, "gcs")
+  in
   Cmd.v
-    (Cmd.info "kv-server" ~doc)
+    (Cmd.info name ~doc)
     Term.(
-      const (run_kv_server `Gcs) $ id_arg $ attach_arg $ listen_arg $ peers_arg
-      $ seed_arg $ batch_arg $ timeout_arg ~default:0.0)
+      const (run_kv_server arm arm_name) $ id_arg $ attach_arg $ listen_arg
+      $ peers_arg $ seed_arg $ batch_arg $ timeout_arg ~default:0.0)
 
 let kv_load_cmd =
   let doc = "run an open-loop KV load generator against one kv-server" in
   Cmd.v
     (Cmd.info "kv-load" ~doc)
-    Term.(
-      const run_kv_load $ id_arg $ peers_arg $ rate_arg $ count_arg
-      $ key_space_arg $ value_bytes_arg $ retransmit_arg
-      $ timeout_arg ~default:60.0)
-
-(* -- Symmetric-arm roles (DESIGN.md §16) ----------------------------------- *)
-
-(* The symmetric arm reuses the whole KV edge — same Kv_req/Kv_resp
-   packets, same store, same load protocol — with the sequencer-based
-   replica swapped for the Skeen-ordered one. *)
-let sym_server_cmd =
-  let doc =
-    "run a replicated KV server whose writes are ordered by the symmetric \
-     (Skeen-style) total-order protocol instead of the GCS sequencer"
-  in
-  Cmd.v
-    (Cmd.info "sym-server" ~doc)
-    Term.(
-      const (run_kv_server `Sym) $ id_arg $ attach_arg $ listen_arg $ peers_arg
-      $ seed_arg $ batch_arg $ timeout_arg ~default:0.0)
-
-let sym_load_cmd =
-  let doc =
-    "run an open-loop KV load generator against one sym-server (the same \
-     generator as kv-load; the name records which arm the deployment runs)"
-  in
-  Cmd.v
-    (Cmd.info "sym-load" ~doc)
     Term.(
       const run_kv_load $ id_arg $ peers_arg $ rate_arg $ count_arg
       $ key_space_arg $ value_bytes_arg $ retransmit_arg
@@ -444,8 +424,11 @@ let () =
           [
             server_cmd;
             client_cmd;
-            kv_server_cmd;
+            kv_server_cmd "kv-server"
+              "run a replicated KV server (GCS end-point + strict replica)";
             kv_load_cmd;
-            sym_server_cmd;
-            sym_load_cmd;
+            kv_server_cmd "sym-server"
+              "run a replicated KV server whose writes are ordered by the \
+               symmetric (Skeen-style) total-order protocol instead of the \
+               GCS sequencer";
           ]))

@@ -4,10 +4,11 @@
 # reproduced deterministically from the saved file), static vet, the
 # fault corpus replayed against pinned fingerprints, a seeded chaos
 # sweep (crash faults and state corruption), the KV service SLO gate
-# (chaos kv-slo, both stable-delivery modes), and four socket smokes —
+# (chaos kv-slo, both stable-delivery modes), four socket smokes —
 # plain agreement, SIGKILL-and-rejoin, the replicated KV service under
 # a mid-load server kill, and the symmetric Skeen arm under the same
-# kill-and-rejoin script. Everything carries a hard timeout.
+# kill-and-rejoin script — and the end-to-end benchmark smoke.
+# Everything carries a hard timeout.
 #
 #   ci.sh [-smoke]   the fast gate above (default)
 #   ci.sh -soak      the gate plus the §13 soak: the full schedule +
@@ -358,7 +359,7 @@ yp0=$!
   --timeout 40 > "$symdir/p1.log" 2>&1 &
 yp1=$!
 sym_wait "$symdir/p0.log" '^VIEW .*members={p0,p1}' 200 "the full sym view"
-"$node" sym-load --id 0 --peer p0=127.0.0.1:$((yport+1)) \
+"$node" kv-load --id 0 --peer p0=127.0.0.1:$((yport+1)) \
   --rate 100 --count 300 --retransmit 0.5 --timeout 30 \
   > "$symdir/k0.log" 2>&1 &
 yk0=$!
@@ -388,6 +389,13 @@ while :; do
   sleep 0.1
 done
 kill "$ys0" "$yp0" "$yp1" 2>/dev/null || true
+
+# End-to-end benchmark smoke: bench/e2e deploys the real vsgc_node
+# binaries and its traced mirror of the kv-server/sym-server/server
+# roles (a call-for-call copy of bin/vsgc_node.ml over Kv_node/Node),
+# runs every workload briefly and checks every output. This keeps the
+# mirror compiling and honest against the library it shadows.
+dune build @bench/e2e/smoke
 
 # Soak (-soak only): the whole corpus and >= 1M corruption-enabled
 # chaos steps, under all three deterministic scheduler modes

@@ -175,6 +175,7 @@ let audit ?(steps = 50) ~universe (comps : Component.packed list) :
 module System = Vsgc_harness.System
 module Server_system = Vsgc_harness.Server_system
 module Sysconf = Vsgc_explore.Sysconf
+module Replica = Vsgc_replication.Replica
 
 let drain sys = ignore (System.run ~max_steps:5_000 sys)
 
@@ -234,32 +235,40 @@ let server_stack ?(n_clients = 4) ?(n_servers = 2) () : Diag.t list =
   static ~universe comps @ write_gap ~universe ~domains comps
 
 (* Audit the KV service stack (DESIGN.md §15): the composition a
-   [Vsgc_kv.Kv_node] hosts — a Full end-point plus a strict [Replica]
-   per process — along a scripted scenario that exercises ordered
-   writes, a partial view change and a crash/recovery. The KV engine
-   itself (store, service, load) runs outside the executor at the
-   node edge, so the component stack is exactly this pair. *)
-let kv_stack ?(n = 3) () : Diag.t list =
+   [Vsgc_kv.Kv_node] hosts — a Full end-point plus a strict replica of
+   the given instance per process — along a scripted scenario that
+   exercises ordered writes, a partial view change and a
+   crash/recovery. The KV engine itself (store, service, load) runs
+   outside the executor at the node edge, so the component stack is
+   exactly this pair. The universe adds the symmetric arm's
+   [Sym_deliver] reports, which only that arm's replica emits. *)
+let kv_stack (type r) ?(n = 3)
+    (module R : Replica.S with type t = r)
+    (component : Proc.t -> Component.packed * r ref) : Diag.t list =
   let refs = Hashtbl.create 8 in
   let sys =
     System.create ~seed:23 ~n ~monitors:`None
       ~client_builder:(fun p ->
-        let c, r = Vsgc_replication.Replica.component p in
+        let c, r = component p in
         Hashtbl.replace refs p r;
         c)
       ()
   in
-  let rep p : Vsgc_replication.Replica.t ref = Hashtbl.find refs p in
+  let rep p : r ref = Hashtbl.find refs p in
   let comps = Array.to_list (Executor.components (System.exec sys)) in
-  let universe = Universe.actions ~n () in
+  let universe =
+    Universe.actions ~n ()
+    @ List.concat_map
+        (fun p -> List.init n (fun q -> Action.Sym_deliver (p, q, 1, "vet")))
+        (List.init n Fun.id)
+  in
   let all = Proc.Set.of_range 0 (n - 1) in
   let domains =
     with_domains sys (fun () ->
         ignore (System.reconfigure sys ~set:all);
         drain sys;
-        Vsgc_replication.Replica.set (rep 0) ~key:"vet" ~value:"a";
-        Vsgc_replication.Replica.write (rep 1) ~client:0 ~seq:0 ~key:"vet-w"
-          ~value:"b";
+        R.set (rep 0) ~key:"vet" ~value:"a";
+        R.write (rep 1) ~client:0 ~seq:0 ~key:"vet-w" ~value:"b";
         drain sys;
         ignore (System.start_change sys ~set:(Proc.Set.remove (n - 1) all));
         ignore
@@ -320,6 +329,9 @@ let all () : (string * Diag.t list) list =
     ("effects vs", layer `Vs);
     ("effects full", layer `Full);
     ("effects server-stack", server_stack ());
-    ("effects kv-stack", kv_stack ());
+    ( "effects kv-stack",
+      kv_stack (module Replica) (fun p -> Replica.component p) );
+    ( "effects kv-sym-stack",
+      kv_stack (module Replica.Sym) (fun p -> Replica.Sym.component p) );
     ("effects inherit", inherit_footprints ());
   ]

@@ -50,10 +50,15 @@ val layer : ?n:int -> Vsgc_core.Endpoint.layer -> Diag.t list
 val server_stack : ?n_clients:int -> ?n_servers:int -> unit -> Diag.t list
 (** Audit the client-server membership stack (Figure 1). *)
 
-val kv_stack : ?n:int -> unit -> Diag.t list
-(** Audit the KV service stack: Full end-point + strict replica per
-    process (DESIGN.md §15), under ordered writes, a partial view
-    change and a crash/recovery. *)
+val kv_stack :
+  ?n:int ->
+  (module Vsgc_replication.Replica.S with type t = 'r) ->
+  (Vsgc_types.Proc.t -> Vsgc_ioa.Component.packed * 'r ref) ->
+  Diag.t list
+(** Audit the KV service stack: Full end-point + a strict replica of
+    the given instance, built by the given constructor, per process
+    (DESIGN.md §15, §16), under ordered writes, a partial view change
+    and a crash/recovery. *)
 
 val inherit_footprints : ?n:int -> unit -> Diag.t list
 (** The inheritance cross-check over the end-point tower. *)

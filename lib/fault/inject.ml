@@ -139,12 +139,7 @@ let build (conf : Schedule.conf) =
     Net_system.create ~seed:conf.seed ~knobs:conf.knobs ~layer:conf.layer
       ~arm:conf.arm ~n:conf.clients ~n_servers:conf.servers ()
   in
-  let monitors =
-    match conf.arm with
-    | `Gcs -> Vsgc_spec.All.net_selfstab ()
-    | `Sym -> Vsgc_spec.All.net_sym ()
-  in
-  Net_system.attach_monitors net monitors;
+  Net_system.attach_monitors net (Vsgc_spec.All.net_arm conf.arm);
   net
 
 let apply_event ~real_servers ~batch net (ev : Schedule.event) =

@@ -51,7 +51,8 @@ type t = {
   servers : (Server.t * (Node.t * Transport.t)) list;  (* ascending *)
   script : Oracle.state ref;  (* drives membership when servers = [] *)
   layer : Vsgc_core.Endpoint.layer;
-  arm : [ `Gcs | `Sym ];  (* which client automaton every node hosts *)
+  scripted : (Proc.t * Vsgc_core.Client.t ref) list;
+      (* the hosted scripted clients; empty on the symmetric arm *)
   base_links : (Node_id.t * Node_id.t) list;  (* topology at create *)
   mutable partition : Node_id.t list list option;  (* None = healed *)
   mutable down_nodes : Node_id.t list;  (* currently crashed clients *)
@@ -65,14 +66,24 @@ type t = {
 let create ?(seed = 42) ?knobs ?(layer = `Full) ?(arm = `Gcs) ~n
     ?(n_servers = 0) () =
   let hub = Loopback.hub ~seed ?knobs () in
+  (* The arm picks the hosted app (DESIGN.md §16.2): the sequencer arm
+     hosts the scripted application client, whose refs the snapshot
+     reads; the symmetric arm its total-order client. *)
+  let scripted = ref [] in
+  let app p =
+    match arm with
+    | `Gcs ->
+        let component, client = Vsgc_core.Client.component p in
+        scripted := (p, client) :: !scripted;
+        Node.client_app (component, client)
+    | `Sym ->
+        let module O = Vsgc_totalorder.Tord_sym_client in
+        Node.order_app (module O) (O.component p)
+  in
   let clients =
     List.init n (fun p ->
         let attach = Server.of_int (if n_servers = 0 then 0 else p mod n_servers) in
-        let role =
-          match arm with
-          | `Gcs -> Node.Client_node { proc = p; attach }
-          | `Sym -> Node.Sym_client_node { proc = p; attach }
-        in
+        let role = Node.Client_node { proc = p; attach; app = app p } in
         let node = Node.create ~seed:(seed + 1 + p) ~layer role in
         (p, (node, Loopback.attach hub (Node_id.Client p))))
   in
@@ -112,7 +123,7 @@ let create ?(seed = 42) ?knobs ?(layer = `Full) ?(arm = `Gcs) ~n
     servers;
     script = ref Oracle.initial;
     layer;
-    arm;
+    scripted = !scripted;
     base_links = List.rev !base_links;
     partition = None;
     down_nodes = [];
@@ -313,14 +324,10 @@ let snapshot t : Vsgc_checker.Invariants.snapshot =
      carries an empty client map: the client-level invariants hold
      vacuously, and the Skeen monitor does the arm's checking. *)
   let clients =
-    match t.arm with
-    | `Sym -> Proc.Map.empty
-    | `Gcs ->
-        List.fold_left
-          (fun m (p, (node, _)) ->
-            let c = Node.client_state node in
-            if c.Vsgc_core.Client.crashed then m else Proc.Map.add p c m)
-          Proc.Map.empty t.clients
+    List.fold_left
+      (fun m (p, c) ->
+        if !c.Vsgc_core.Client.crashed then m else Proc.Map.add p !c m)
+      Proc.Map.empty t.scripted
   in
   {
     endpoints;

@@ -1,113 +1,53 @@
 (* A deployable KV server node: one OS-process-worth of the replicated
    KV service.
 
-   Exactly the [Vsgc_net.Node] construction — the UNCHANGED automata
-   in a private executor behind an [Io_pump] — but hosting a GCS
-   end-point plus a [Replica] (instead of the scripted client), with
-   the KV service engine at the edge:
+   A [Vsgc_net.Node] client node hosting a replica of the selected
+   total-order arm (instead of the scripted client), with the KV
+   service engine at the edge. The node does all of the GCS wire
+   translation; this module adds only the KV edge:
 
      kv client           Kv_req packet        -> service request
                          (writes -> replica's ordered stream,
                           stable writes -> Kv_resp acks out)
-     gcs peer            Rf packet            -> Rf_deliver
-     membership server   Start_change/View    -> Mb_start_change/Mb_view
-                         Up(its server)       -> emits a Join packet
-     executor capture    Rf_send(p, set, w)   -> one Rf packet per target
 
    The replica component runs strict (ordered codec drift raises) and
    in the batched or unbatched announcement mode the deployment
    selects. *)
 
-open Vsgc_types
 open Vsgc_wire
 module Transport = Vsgc_net.Transport
+module Node = Vsgc_net.Node
 module Replica = Vsgc_replication.Replica
-module Sym_replica = Vsgc_replication.Sym_replica
 
-(* Which total-order arm the node hosts (DESIGN.md §16): the
-   sequencer-based Replica or the symmetric Sym_replica. *)
-type replica_ref = Gcs of Replica.t ref | Sym of Sym_replica.t ref
-
-type t = {
-  id : Node_id.t;
-  proc : Proc.t;
-  attach : Server.t;
-  exec : Vsgc_ioa.Executor.t;
-  pump : Vsgc_ioa.Io_pump.t;
-  outq : (Node_id.t * Packet.t) Queue.t;
-  mutable malformed : int;
-  replica : replica_ref;
-  endpoint : Vsgc_core.Endpoint.t ref;
-  service : Kv_service.t;
-}
+type t = { node : Node.t; service : Kv_service.t }
 
 let create ?(seed = 0) ?(layer = `Full) ?(batch = false) ?(arm = `Gcs) ~attach
     proc =
-  let ep_packed, endpoint = Vsgc_core.Endpoint.component ~layer proc in
-  let rep_packed, replica, backend =
-    match arm with
-    | `Gcs ->
-        let packed, r = Replica.component ~strict:true ~batch_orders:batch proc in
-        (packed, Gcs r, Kv_service.backend_of_replica r)
-    | `Sym ->
-        let packed, r = Sym_replica.component ~strict:true proc in
-        (packed, Sym r, Kv_service.backend_of_sym r)
+  let host (type a) (module R : Vsgc_totalorder.Total_order.S with type t = a)
+      (component, (r : a ref)) =
+    let app = Node.order_app (module R) (component, r) in
+    {
+      node = Node.create ~seed ~layer (Node.Client_node { proc; attach; app });
+      service = Kv_service.create ~batch (module R) r;
+    }
   in
-  let exec =
-    Vsgc_ioa.Executor.create ~seed ~keep_trace:true [ ep_packed; rep_packed ]
-  in
-  let capture = function
-    | Action.Rf_send (q, _, _) -> Proc.equal q proc
-    | _ -> false
-  in
-  {
-    id = Node_id.Client proc;
-    proc;
-    attach;
-    exec;
-    pump = Vsgc_ioa.Io_pump.create ~capture exec;
-    outq = Queue.create ();
-    malformed = 0;
-    replica;
-    endpoint;
-    service = Kv_service.create ~batch backend;
-  }
+  (* The arm selects the replica instance (DESIGN.md §16). *)
+  match arm with
+  | `Gcs ->
+      host (module Replica) (Replica.component ~strict:true ~batch_orders:batch proc)
+  | `Sym -> host (module Replica.Sym) (Replica.Sym.component ~strict:true proc)
 
-let id t = t.id
-let proc t = t.proc
-let executor t = t.exec
-let malformed t = t.malformed
+let id t = Node.id t.node
+let executor t = Node.executor t.node
+let malformed t = Node.malformed t.node
 let service t = t.service
-
-let send_pkt t dst pkt = Queue.add (dst, pkt) t.outq
-let enqueue t a = Vsgc_ioa.Io_pump.enqueue t.pump a
-let inject = enqueue
+let inject t a = Node.inject t.node a
 
 let handle t ev =
   match ev with
-  | Transport.Malformed _ -> t.malformed <- t.malformed + 1
-  | Transport.Up (Node_id.Server s) when Server.equal s t.attach ->
-      send_pkt t (Node_id.Server s) (Packet.Join t.proc)
-  | Transport.Up _ | Transport.Down _ -> ()
-  | Transport.Received (_, Packet.Rf { from; wire }) ->
-      enqueue t (Action.Rf_deliver (from, t.proc, wire))
-  | Transport.Received (_, Packet.Start_change { target; cid; set })
-    when Proc.equal target t.proc ->
-      enqueue t (Action.Mb_start_change (t.proc, cid, set))
-  | Transport.Received (_, Packet.View { target; view })
-    when Proc.equal target t.proc ->
-      enqueue t (Action.Mb_view (t.proc, view))
   | Transport.Received (_, Packet.Kv_req req) ->
       Kv_service.handle_request t.service req
-  | Transport.Received _ -> ()
-
-let route t a =
-  match a with
-  | Action.Rf_send (p, targets, wire) when Proc.equal p t.proc ->
-      Proc.Set.iter
-        (fun q -> send_pkt t (Node_id.Client q) (Packet.Rf { from = p; wire }))
-        targets
-  | _ -> ()
+  | _ -> Node.handle t.node ev
 
 let response_target (resp : Kv_msg.response) =
   match resp with
@@ -115,31 +55,21 @@ let response_target (resp : Kv_msg.response) =
       Node_id.Kv_client client
 
 let step ?max_steps t =
-  Vsgc_ioa.Io_pump.pump ?max_steps t.pump;
-  List.iter (route t) (Vsgc_ioa.Io_pump.drain t.pump);
+  let pkts = Node.step ?max_steps t.node in
   (* Stable-delivery edge: fold newly ordered entries into the store
      and ship the acknowledgements that became due. *)
   Kv_service.advance t.service;
-  List.iter
-    (fun resp -> send_pkt t (response_target resp) (Packet.Kv_resp resp))
-    (Kv_service.take_acks t.service);
-  let pkts = List.of_seq (Queue.to_seq t.outq) in
-  Queue.clear t.outq;
   pkts
+  @ List.map
+      (fun resp -> (response_target resp, Packet.Kv_resp resp))
+      (Kv_service.take_acks t.service)
 
-let replica t = t.replica
 let store t = Kv_service.store t.service
 let digest t = Kv_service.digest t.service
-let crashed t = Vsgc_core.Endpoint.crashed !(t.endpoint)
-let current_view t = Vsgc_core.Endpoint.current_view !(t.endpoint)
-
-let views t =
-  match t.replica with
-  | Gcs r -> Replica.Tord_client.views !r.Replica.tc
-  | Sym r -> Sym_replica.Tord_sym_client.views !r.Sym_replica.tc
-let steps t = Vsgc_ioa.Executor.trace_length t.exec
-let trace t = Vsgc_ioa.Executor.trace t.exec
-let fingerprint t = Vsgc_ioa.Trace_stats.fingerprint (trace t)
-
-let quiescent t =
-  Vsgc_ioa.Io_pump.quiescent t.pump && Queue.is_empty t.outq
+let crashed t = Node.crashed t.node
+let current_view t = Node.current_view t.node
+let views t = Node.views t.node
+let steps t = Node.steps t.node
+let trace t = Node.trace t.node
+let fingerprint t = Node.fingerprint t.node
+let quiescent t = Node.quiescent t.node

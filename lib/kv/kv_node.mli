@@ -1,18 +1,13 @@
-(** A deployable KV server node: the [Vsgc_net.Node] construction (the
+(** A deployable KV server node: a [Vsgc_net.Node] client node (the
     unchanged automata in a private executor behind an [Io_pump])
-    hosting a GCS end-point plus a strict {!Replica}, with the
-    {!Kv_service} engine translating [Kv_req]/[Kv_resp] packets at the
-    edge (DESIGN.md §15). *)
+    hosting a GCS end-point plus a strict replica of the selected
+    total-order arm ({!Vsgc_replication.Replica} or its [Sym]
+    instance), with the {!Kv_service} engine translating
+    [Kv_req]/[Kv_resp] packets at the edge (DESIGN.md §15, §16). *)
 
 open Vsgc_types
 open Vsgc_wire
 module Transport = Vsgc_net.Transport
-module Replica = Vsgc_replication.Replica
-module Sym_replica = Vsgc_replication.Sym_replica
-
-type replica_ref = Gcs of Replica.t ref | Sym of Sym_replica.t ref
-(** Which total-order arm the node hosts (DESIGN.md §16). *)
-
 type t
 
 val create :
@@ -30,7 +25,6 @@ val create :
     hosted replica always runs strict. *)
 
 val id : t -> Node_id.t
-val proc : t -> Proc.t
 val executor : t -> Vsgc_ioa.Executor.t
 val malformed : t -> int
 val service : t -> Kv_service.t
@@ -48,7 +42,6 @@ val inject : t -> Action.t -> unit
 (** Out-of-band environment input (Crash/Recover from the fault
     layer). *)
 
-val replica : t -> replica_ref
 val store : t -> Kv_store.t
 val digest : t -> string
 val crashed : t -> bool

@@ -1,4 +1,4 @@
-(* The KV service engine: the glue between a hosted [Replica] and the
+(* The KV service engine: the glue between a hosted replica and the
    request/response wire protocol.
 
    Requests arrive off the transport; writes are stamped with their
@@ -17,37 +17,15 @@
    and the wire-level announcement traffic differ. *)
 
 module Replica = Vsgc_replication.Replica
-module Sym_replica = Vsgc_replication.Sym_replica
 module Kv_msg = Vsgc_wire.Kv_msg
 
 (* The engine is arm-agnostic: any totally ordered log with a write
-   entry point and a stable-prefix cursor can host the service. The
-   two bake-off arms (sequencer-based Replica, symmetric Sym_replica)
-   plug in through this record. *)
-type backend = {
+   entry point and a stable-prefix cursor can host the service — a
+   replica instance of either bake-off arm is one. *)
+type t = {
   write : client:int -> seq:int -> key:string -> value:string -> unit;
   log_length : unit -> int;
   ordered_from : int -> string list;
-}
-
-let backend_of_replica (replica : Replica.t ref) =
-  {
-    write = (fun ~client ~seq ~key ~value -> Replica.write replica ~client ~seq ~key ~value);
-    log_length = (fun () -> Replica.log_length !replica);
-    ordered_from = (fun k -> Replica.ordered_from !replica k);
-  }
-
-let backend_of_sym (replica : Sym_replica.t ref) =
-  {
-    write =
-      (fun ~client ~seq ~key ~value ->
-        Sym_replica.write replica ~client ~seq ~key ~value);
-    log_length = (fun () -> Sym_replica.log_length !replica);
-    ordered_from = (fun k -> Sym_replica.ordered_from !replica k);
-  }
-
-type t = {
-  backend : backend;
   store : Kv_store.t;
   mutable cursor : int;  (* ordered entries consumed into the store *)
   batch : bool;
@@ -57,9 +35,14 @@ type t = {
   mutable rebirths : int;  (* times the hosting replica restarted *)
 }
 
-let create ~batch backend =
+let create (type a) ~batch
+    (module O : Vsgc_totalorder.Total_order.S with type t = a) (r : a ref) =
   {
-    backend;
+    write =
+      (fun ~client ~seq ~key ~value ->
+        O.push r (Replica.encode_write ~client ~seq ~key ~value));
+    log_length = (fun () -> O.log_length !r);
+    ordered_from = (fun k -> O.ordered_from !r k);
     store = Kv_store.create ();
     cursor = 0;
     batch;
@@ -73,7 +56,7 @@ let handle_request t (req : Kv_msg.request) =
   t.requests <- t.requests + 1;
   match req with
   | Kv_msg.Put { client; seq; key; value } ->
-      t.backend.write ~client ~seq ~key ~value
+      t.write ~client ~seq ~key ~value
   | Kv_msg.Get { client; seq; key } ->
       Queue.add
         (Kv_msg.Get_reply { client; seq; value = Kv_store.get t.store key })
@@ -83,14 +66,14 @@ let handle_request t (req : Kv_msg.request) =
    log restarts below the cursor: reset and refold from the new log
    (whose snapshot prefix carries the group state). *)
 let advance t =
-  let len = t.backend.log_length () in
+  let len = t.log_length () in
   if len < t.cursor then begin
     Kv_store.reset t.store;
     Queue.clear t.acks;
     t.cursor <- 0;
     t.rebirths <- t.rebirths + 1
   end;
-  let fresh = t.backend.ordered_from t.cursor in
+  let fresh = t.ordered_from t.cursor in
   if fresh <> [] then begin
     let ack payload =
       match Kv_store.apply t.store payload with
@@ -107,7 +90,7 @@ let advance t =
           ack payload;
           t.apply_rounds <- t.apply_rounds + 1)
         fresh;
-    t.cursor <- t.backend.log_length ()
+    t.cursor <- t.log_length ()
   end
 
 let take_acks t =

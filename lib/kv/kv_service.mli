@@ -1,30 +1,23 @@
-(** The KV service engine between a hosted {!Replica} and the
-    request/response protocol: writes enter the totally ordered
+(** The KV service engine between a hosted replica (of either
+    total-order arm) and the request/response protocol: writes enter the totally ordered
     stream stamped with their command id, reads answer from the
     materialized committed prefix, and {!advance} folds newly ordered
     entries into the store — one apply+ack round per contiguous run
     when batched, one per command when not, byte-identical stores
     either way (DESIGN.md §15). *)
 
-module Replica = Vsgc_replication.Replica
-module Sym_replica = Vsgc_replication.Sym_replica
 module Kv_msg = Vsgc_wire.Kv_msg
-
-type backend = {
-  write : client:int -> seq:int -> key:string -> value:string -> unit;
-  log_length : unit -> int;
-  ordered_from : int -> string list;
-}
-(** What the engine needs from a hosted total-order arm: push a
-    stamped write into the ordered stream, and read the stable prefix
-    through a cursor. *)
-
-val backend_of_replica : Replica.t ref -> backend
-val backend_of_sym : Sym_replica.t ref -> backend
 
 type t
 
-val create : batch:bool -> backend -> t
+val create :
+  batch:bool ->
+  (module Vsgc_totalorder.Total_order.S with type t = 'a) ->
+  'a ref ->
+  t
+(** Host the engine on a replica of either arm (DESIGN.md §16): writes
+    are pushed into its ordered stream as {!Vsgc_replication.Replica}
+    write commands, and the stable prefix is read through its cursor. *)
 
 val handle_request : t -> Kv_msg.request -> unit
 (** A request off the wire: [Put] is pushed into the replica's ordered

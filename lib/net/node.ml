@@ -1,8 +1,9 @@
 (* A deployable vsgc node: one OS-process-worth of the system.
 
-   A node hosts the UNCHANGED automata — a GCS end-point plus its
-   scripted client, or a membership server — inside a private
-   [Executor], bridged to a transport by an [Io_pump]:
+   A node hosts the UNCHANGED automata — a GCS end-point plus the
+   application component its builder hands in (the scripted client, a
+   total-order arm, a replica), or a membership server — inside a
+   private [Executor], bridged to a transport by an [Io_pump]:
 
      transport events --[handle]--> environment inputs
      [step]: pump to quiescence, captured outputs --> packets out
@@ -28,22 +29,51 @@
 open Vsgc_types
 open Vsgc_wire
 
+(* The application a client node hosts next to its end-point, as the
+   component plus the observations the node answers for it. Whoever
+   builds the component keeps its typed ref. *)
+type app = {
+  component : Vsgc_ioa.Component.packed;
+  push : string -> unit;
+  delivered : unit -> (Proc.t * Msg.App_msg.t) list;
+  views : unit -> (View.t * Proc.Set.t) list;
+  last_view : unit -> (View.t * Proc.Set.t) option;
+}
+
+let client_app (component, client) =
+  let module C = Vsgc_core.Client in
+  {
+    component;
+    push = C.push client;
+    delivered = (fun () -> C.delivered !client);
+    views = (fun () -> C.views !client);
+    last_view = (fun () -> C.last_view !client);
+  }
+
+(* A total-order arm's deliveries are its total order. *)
+let order_app (type a) (module O : Vsgc_totalorder.Total_order.S with type t = a)
+    (component, (r : a ref)) =
+  {
+    component;
+    push = O.push r;
+    delivered =
+      (fun () ->
+        List.map
+          (fun (sender, payload) -> (sender, Msg.App_msg.make payload))
+          (O.total_order !r));
+    views = (fun () -> O.views !r);
+    last_view = (fun () -> O.last_view !r);
+  }
+
 type role =
-  | Client_node of { proc : Proc.t; attach : Server.t }
-  | Sym_client_node of { proc : Proc.t; attach : Server.t }
+  | Client_node of { proc : Proc.t; attach : Server.t; app : app }
   | Server_node of { server : Server.t }
 
 type kind =
   | Client_k of {
       proc : Proc.t;
       attach : Server.t;
-      client : Vsgc_core.Client.t ref;
-      endpoint : Vsgc_core.Endpoint.t ref;
-    }
-  | Sym_k of {
-      proc : Proc.t;
-      attach : Server.t;
-      client : Vsgc_totalorder.Tord_sym_client.t ref;
+      app : app;
       endpoint : Vsgc_core.Endpoint.t ref;
     }
   | Server_k of {
@@ -52,7 +82,6 @@ type kind =
       mutable connected : Server.Set.t;  (* live links to peer servers *)
       mutable attached : Proc.Set.t;  (* clients that sent Join *)
     }
-
 
 type t = {
   id : Node_id.t;
@@ -65,11 +94,10 @@ type t = {
 
 let create ?(seed = 0) ?(layer = `Full) role =
   match role with
-  | Client_node { proc; attach } ->
+  | Client_node { proc; attach; app } ->
       let ep_packed, endpoint = Vsgc_core.Endpoint.component ~layer proc in
-      let cl_packed, client = Vsgc_core.Client.component proc in
       let exec =
-        Vsgc_ioa.Executor.create ~seed ~keep_trace:true [ ep_packed; cl_packed ]
+        Vsgc_ioa.Executor.create ~seed ~keep_trace:true [ ep_packed; app.component ]
       in
       let capture = function
         | Action.Rf_send (q, _, _) -> Proc.equal q proc
@@ -81,27 +109,7 @@ let create ?(seed = 0) ?(layer = `Full) role =
         pump = Vsgc_ioa.Io_pump.create ~capture exec;
         outq = Queue.create ();
         malformed = 0;
-        kind = Client_k { proc; attach; client; endpoint };
-      }
-  | Sym_client_node { proc; attach } ->
-      let ep_packed, endpoint = Vsgc_core.Endpoint.component ~layer proc in
-      let cl_packed, client =
-        Vsgc_totalorder.Tord_sym_client.component proc
-      in
-      let exec =
-        Vsgc_ioa.Executor.create ~seed ~keep_trace:true [ ep_packed; cl_packed ]
-      in
-      let capture = function
-        | Action.Rf_send (q, _, _) -> Proc.equal q proc
-        | _ -> false
-      in
-      {
-        id = Node_id.Client proc;
-        exec;
-        pump = Vsgc_ioa.Io_pump.create ~capture exec;
-        outq = Queue.create ();
-        malformed = 0;
-        kind = Sym_k { proc; attach; client; endpoint };
+        kind = Client_k { proc; attach; app; endpoint };
       }
   | Server_node { server } ->
       let packed, state =
@@ -140,8 +148,8 @@ let enqueue t a = Vsgc_ioa.Io_pump.enqueue t.pump a
 
 let handle t ev =
   match t.kind with
-  (* -- client side (either client kind: same wire translation) -- *)
-  | Client_k { proc; attach; _ } | Sym_k { proc; attach; _ } -> (
+  (* -- client side -- *)
+  | Client_k { proc; attach; _ } -> (
       match ev with
       | Transport.Malformed _ -> t.malformed <- t.malformed + 1
       | Transport.Up (Node_id.Server s) when Server.equal s attach ->
@@ -190,9 +198,8 @@ let handle t ev =
 (* Captured executor outputs become packets. *)
 let route t a =
   match (t.kind, a) with
-  | ( (Client_k { proc; _ } | Sym_k { proc; _ }),
-      Action.Rf_send (p, targets, wire) )
-    when Proc.equal p proc ->
+  | Client_k { proc; _ }, Action.Rf_send (p, targets, wire) when Proc.equal p proc
+    ->
       Proc.Set.iter
         (fun q -> send_pkt t (Node_id.Client q) (Packet.Rf { from = p; wire }))
         targets
@@ -214,33 +221,21 @@ let step ?max_steps t =
 
 let inject = enqueue
 
-let push t payload =
+let hosted t what =
   match t.kind with
-  | Client_k c -> Vsgc_core.Client.push c.client payload
-  | Sym_k c -> Vsgc_totalorder.Tord_sym_client.push c.client payload
-  | Server_k _ -> invalid_arg "Node.push: not a client node"
+  | Client_k { app; _ } -> app
+  | Server_k _ -> invalid_arg (Fmt.str "Node.%s: not a client node" what)
 
-let client_state t =
-  match t.kind with
-  | Client_k c -> !(c.client)
-  | Sym_k _ -> invalid_arg "Node.client_state: a symmetric-arm client node"
-  | Server_k _ -> invalid_arg "Node.client_state: not a client node"
-
-let sym_state t =
-  match t.kind with
-  | Sym_k c -> !(c.client)
-  | Client_k _ | Server_k _ ->
-      invalid_arg "Node.sym_state: not a symmetric-arm client node"
+let push t payload = (hosted t "push").push payload
 
 let endpoint_state t =
   match t.kind with
-  | Client_k { endpoint; _ } | Sym_k { endpoint; _ } -> !endpoint
+  | Client_k { endpoint; _ } -> !endpoint
   | Server_k _ -> invalid_arg "Node.endpoint_state: not a client node"
 
 let crashed t =
   match t.kind with
-  | Client_k { endpoint; _ } | Sym_k { endpoint; _ } ->
-      Vsgc_core.Endpoint.crashed !endpoint
+  | Client_k { endpoint; _ } -> Vsgc_core.Endpoint.crashed !endpoint
   | Server_k _ -> false
 
 (* -- Self-stabilization (DESIGN.md §13) --------------------------------- *)
@@ -251,50 +246,30 @@ let crashed t =
    out-of-band write is safe under both scheduler modes. *)
 let corrupt t ~salt field =
   match t.kind with
-  | Client_k { endpoint; _ } | Sym_k { endpoint; _ } ->
+  | Client_k { endpoint; _ } ->
       endpoint := Vsgc_core.Endpoint.corrupt ~salt field !endpoint
   | Server_k _ -> invalid_arg "Node.corrupt: not a client node"
 
 let self_check t =
   match t.kind with
-  | Client_k { endpoint; _ } | Sym_k { endpoint; _ } ->
-      Vsgc_core.Endpoint.self_check !endpoint
+  | Client_k { endpoint; _ } -> Vsgc_core.Endpoint.self_check !endpoint
   | Server_k sk -> Vsgc_mbrshp.Servers.self_check !(sk.state)
 
 let steps t = Vsgc_ioa.Executor.trace_length t.exec
 
-let delivered t =
-  match t.kind with
-  | Client_k c -> Vsgc_core.Client.delivered !(c.client)
-  | Sym_k c ->
-      (* The symmetric arm's deliveries are its total order. *)
-      List.map
-        (fun (sender, payload) -> (sender, Msg.App_msg.make payload))
-        (Vsgc_totalorder.Tord_sym_client.total_order !(c.client))
-  | Server_k _ -> invalid_arg "Node.delivered: not a client node"
-
-let views t =
-  match t.kind with
-  | Client_k c -> Vsgc_core.Client.views !(c.client)
-  | Sym_k c -> Vsgc_totalorder.Tord_sym_client.views !(c.client)
-  | Server_k _ -> invalid_arg "Node.views: not a client node"
-
-let last_view t =
-  match t.kind with
-  | Client_k c -> Vsgc_core.Client.last_view !(c.client)
-  | Sym_k c -> Vsgc_totalorder.Tord_sym_client.last_view !(c.client)
-  | Server_k _ -> invalid_arg "Node.last_view: not a client node"
+let delivered t = (hosted t "delivered").delivered ()
+let views t = (hosted t "views").views ()
+let last_view t = (hosted t "last_view").last_view ()
 
 let current_view t =
   match t.kind with
-  | Client_k { endpoint; _ } | Sym_k { endpoint; _ } ->
-      Vsgc_core.Endpoint.current_view !endpoint
+  | Client_k { endpoint; _ } -> Vsgc_core.Endpoint.current_view !endpoint
   | Server_k _ -> invalid_arg "Node.current_view: not a client node"
 
 let attached t =
   match t.kind with
   | Server_k sk -> sk.attached
-  | Client_k _ | Sym_k _ -> invalid_arg "Node.attached: not a server node"
+  | Client_k _ -> invalid_arg "Node.attached: not a server node"
 
 let trace t = Vsgc_ioa.Executor.trace t.exec
 

@@ -1,21 +1,43 @@
 (** A deployable vsgc node: one OS-process-worth of the system.
 
-    Hosts the unchanged automata — a GCS end-point plus its scripted
-    client, or a membership server — inside a private executor,
+    Hosts the unchanged automata — a GCS end-point plus an application
+    component, or a membership server — inside a private executor,
     bridged to a transport by an I/O pump. Transport events go in via
     {!handle}; {!step} pumps the composition to quiescence and
-    returns the packets to ship (DESIGN.md §10). *)
+    returns the packets to ship (DESIGN.md §10).
+
+    There is one client kind: whatever application it hosts (the
+    scripted {!Vsgc_core.Client}, either total-order arm, a replica),
+    the wire translation is the same. The application's builder keeps
+    its typed state ref; the node answers {!push}/{!delivered}/{!views}
+    through the {!app} record. *)
 
 open Vsgc_types
 open Vsgc_wire
 
+type app = {
+  component : Vsgc_ioa.Component.packed;  (** composed after the end-point *)
+  push : string -> unit;  (** queue a payload for multicast *)
+  delivered : unit -> (Proc.t * Msg.App_msg.t) list;  (** oldest first *)
+  views : unit -> (View.t * Proc.Set.t) list;  (** oldest first *)
+  last_view : unit -> (View.t * Proc.Set.t) option;
+}
+(** The application a client node hosts. *)
+
+val client_app : Vsgc_ioa.Component.packed * Vsgc_core.Client.t ref -> app
+(** The scripted application client ({!Vsgc_core.Client.component}). *)
+
+val order_app :
+  (module Vsgc_totalorder.Total_order.S with type t = 'a) ->
+  Vsgc_ioa.Component.packed * 'a ref ->
+  app
+(** A total-order arm, or a replica over one: its deliveries are its
+    total order. *)
+
 type role =
-  | Client_node of { proc : Proc.t; attach : Server.t }
-      (** a GCS end-point, registering with membership server [attach] *)
-  | Sym_client_node of { proc : Proc.t; attach : Server.t }
-      (** a GCS end-point hosting the symmetric total-order client
-          ({!Vsgc_totalorder.Tord_sym_client}, DESIGN.md §16) instead
-          of the scripted application client *)
+  | Client_node of { proc : Proc.t; attach : Server.t; app : app }
+      (** a GCS end-point hosting [app], registering with membership
+          server [attach] *)
   | Server_node of { server : Server.t }  (** a membership server *)
 
 type t
@@ -69,14 +91,6 @@ val current_view : t -> View.t
 
 val attached : t -> Proc.Set.t
 (** Server node: clients currently joined. *)
-
-val client_state : t -> Vsgc_core.Client.t
-(** Client node: the hosted application automaton's state.
-    @raise Invalid_argument on a server or symmetric-arm node. *)
-
-val sym_state : t -> Vsgc_totalorder.Tord_sym_client.t
-(** Symmetric-arm client node: the hosted ordering client's state.
-    @raise Invalid_argument on any other node. *)
 
 val endpoint_state : t -> Vsgc_core.Endpoint.t
 (** Client node: the hosted GCS end-point's state — what the §6/§7

@@ -324,6 +324,10 @@ let poll st timeout =
   end
 
 let create cfg =
+  (* A write to a peer that died a moment ago must cost the link, not
+     the process: with SIGPIPE ignored the write fails with EPIPE and
+     takes the ordinary [drop_conn ~down:true] path. *)
+  Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
   let listen_fd = Option.map mk_listen cfg.listen in
   let st =
     {

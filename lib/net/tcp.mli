@@ -38,4 +38,8 @@ val create : config -> Transport.t
 (** Binds the listener (if any) and arms the dials; actual connecting
     happens inside {!Transport.recv} polls. [close] makes a bounded
     best-effort flush of queued output before tearing links down.
+
+    Sets the process's SIGPIPE disposition to ignore: a write to a
+    peer that crashed a moment earlier then fails with [EPIPE] and
+    drops the link ([Down]) instead of killing the writer.
     @raise Unix.Unix_error if binding the listen address fails. *)

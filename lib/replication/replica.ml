@@ -12,40 +12,21 @@
    deliver (all through the same total order, so deterministically).
    The [transfer_blind] ablation models a system without transitional
    sets, in which every member must ship its snapshot at every view
-   change — the cost difference is measured by bench E8. *)
+   change — the cost difference is measured by bench E8.
+
+   The codec, the fold, strict mode and the snapshot rule are written
+   once, in [Make], over any total-order arm ({!Vsgc_totalorder.Total_order.S}):
+   the top level is the sequencer-arm instance and [Sym] the symmetric
+   one, so both arms' states are the same pure function of their
+   ordered logs and cross-arm digest comparison is meaningful. *)
 
 open Vsgc_types
 module Smap = Map.Make (String)
-module Tord_client = Vsgc_totalorder.Tord_client
-module Tord_core = Vsgc_totalorder.Tord_core
 
 exception Codec_drift of string
 (* Raised in strict mode when an undecodable command reaches the
    totally ordered log — codec drift between writers and replicas
    should be loud, not silently skipped. *)
-
-type t = {
-  tc : Tord_client.t;
-  me : Proc.t;
-  transfer_blind : bool;  (* ablation: no transitional-set knowledge *)
-  snapshot_bytes : int;  (* total snapshot payload bytes multicast *)
-  snapshots_sent : int;
-  strict : bool;  (* raise on Unknown ordered commands *)
-  unknowns : int;  (* Unknown commands tolerated (non-strict mode) *)
-}
-
-let initial ?(transfer_blind = false) ?(strict = false) ?batch_orders me =
-  {
-    tc = Tord_client.initial ?batch_orders me;
-    me;
-    transfer_blind;
-    snapshot_bytes = 0;
-    snapshots_sent = 0;
-    strict;
-    unknowns = 0;
-  }
-
-let unknowns t = t.unknowns
 
 (* -- Command and snapshot encoding (inside total-order payloads) --------- *)
 
@@ -151,119 +132,161 @@ let fold_state entries =
       | Unknown -> (version, kv))
     (0, Smap.empty) entries
 
-let state t = snd (fold_state (Tord_client.total_order t.tc))
-let version t = fst (fold_state (Tord_client.total_order t.tc))
-let get t key = Smap.find_opt key (state t)
+module type S = sig
+  type t
 
-(* -- Cursor over the ordered log (for the incremental KV store) ----------- *)
+  include Vsgc_totalorder.Total_order.S with type t := t
 
-let log_length t = Tord_core.total_count t.tc.Tord_client.core
+  val unknowns : t -> int
+  val state : t -> string Smap.t
+  val version : t -> int
+  val get : t -> string -> string option
+  val set : t ref -> key:string -> value:string -> unit
 
-let ordered_from t k =
-  List.map
-    (fun (e : Tord_core.entry) -> e.Tord_core.payload)
-    (Tord_core.entries_from t.tc.Tord_client.core k)
+  val write :
+    t ref -> client:int -> seq:int -> key:string -> value:string -> unit
+end
 
-(* -- Scripting API --------------------------------------------------------- *)
+module Make (O : Vsgc_totalorder.Total_order.S) = struct
+  type t = {
+    tc : O.t;
+    me : Proc.t;
+    transfer_blind : bool;  (* ablation: no transitional-set knowledge *)
+    snapshot_bytes : int;  (* total snapshot payload bytes multicast *)
+    snapshots_sent : int;
+    strict : bool;  (* raise on Unknown ordered commands *)
+    unknowns : int;  (* Unknown commands tolerated (non-strict mode) *)
+  }
 
-let set (r : t ref) ~key ~value =
-  let tc = ref !r.tc in
-  Tord_client.push tc (encode_set ~key ~value);
-  r := { !r with tc = !tc }
+  let unknowns t = t.unknowns
 
-let write (r : t ref) ~client ~seq ~key ~value =
-  let tc = ref !r.tc in
-  Tord_client.push tc (encode_write ~client ~seq ~key ~value);
-  r := { !r with tc = !tc }
+  (* -- The total order underneath ----------------------------------------- *)
 
-(* -- Component -------------------------------------------------------------- *)
+  let push (r : t ref) payload =
+    let tc = ref !r.tc in
+    O.push tc payload;
+    r := { !r with tc = !tc }
 
-let outputs t = Tord_client.outputs t.tc
+  let total_order t = O.total_order t.tc
+  let views t = O.views t.tc
+  let last_view t = O.last_view t.tc
+  let crashed t = O.crashed t.tc
 
-let accepts me = Tord_client.accepts me
+  (* The cursor the incremental KV store ({!Vsgc_kv.Kv_store}) consumes
+     the log through, instead of refolding [state] per request. *)
+  let log_length t = O.log_length t.tc
+  let ordered_from t k = O.ordered_from t.tc k
 
-(* Ship a snapshot when new members join this replica's group: with
-   transitional sets, only the group minimum sends; blind, everybody
-   does at every change. *)
-let should_send_snapshot t view tset =
-  let joined = not (Proc.Set.equal (View.set view) tset) in
-  if t.transfer_blind then View.mem t.me view
-  else joined && Proc.Set.min_elt_opt tset = Some t.me
+  (* -- Deterministic state and scripting ---------------------------------- *)
 
-(* Strict mode makes codec drift loud the moment an undecodable
-   command becomes totally ordered; otherwise it is tolerated and
-   counted. Newly ordered entries are exactly the log suffix past the
-   pre-event count (a reborn core restarts the count at zero, so the
-   clamped cursor read skips nothing real). *)
-let check_unknowns t ~before =
-  let entries = Tord_core.entries_from t.tc.Tord_client.core before in
-  let fresh =
-    List.fold_left
-      (fun acc (e : Tord_core.entry) ->
-        match decode e.Tord_core.payload with Unknown -> acc + 1 | _ -> acc)
-      0 entries
-  in
-  if fresh = 0 then t
-  else if t.strict then
-    raise
-      (Codec_drift
-         (Fmt.str "replica %a: %d undecodable ordered command%s" Proc.pp t.me
-            fresh
-            (if fresh = 1 then "" else "s")))
-  else { t with unknowns = t.unknowns + fresh }
+  let state t = snd (fold_state (total_order t))
+  let version t = fst (fold_state (total_order t))
+  let get t key = Smap.find_opt key (state t)
+  let set r ~key ~value = push r (encode_set ~key ~value)
 
-let apply t (a : Action.t) =
-  let before = Tord_core.total_count t.tc.Tord_client.core in
-  let tc = Tord_client.apply t.tc a in
-  let t = check_unknowns { t with tc } ~before in
-  match a with
-  | Action.App_view (_, view, tset) when not tc.Tord_client.crashed ->
-      if should_send_snapshot t view tset then begin
+  let write r ~client ~seq ~key ~value =
+    push r (encode_write ~client ~seq ~key ~value)
+
+  (* -- Component ---------------------------------------------------------- *)
+
+  let outputs t = O.outputs t.tc
+  let accepts = O.accepts
+
+  (* The replica shares the arm's locus: everything is co-located at
+     me, so the arm's footprint and output signature are the replica's. *)
+  let footprint = O.footprint
+  let emits = O.emits
+
+  (* Ship a snapshot when new members join this replica's group: with
+     transitional sets, only the group minimum sends; blind, everybody
+     does at every change. *)
+  let should_send_snapshot t view tset =
+    let joined = not (Proc.Set.equal (View.set view) tset) in
+    if t.transfer_blind then View.mem t.me view
+    else joined && Proc.Set.min_elt_opt tset = Some t.me
+
+  (* Strict mode makes codec drift loud the moment an undecodable
+     command becomes totally ordered; otherwise it is tolerated and
+     counted. Newly ordered entries are exactly the log suffix past the
+     pre-event count (a reborn arm restarts the count at zero, so the
+     clamped cursor read skips nothing real). *)
+  let check_unknowns t ~before =
+    let fresh =
+      List.fold_left
+        (fun acc payload ->
+          match decode payload with Unknown -> acc + 1 | _ -> acc)
+        0 (ordered_from t before)
+    in
+    if fresh = 0 then t
+    else if t.strict then
+      raise
+        (Codec_drift
+           (Fmt.str "replica %a: %d undecodable ordered command%s" Proc.pp t.me
+              fresh
+              (if fresh = 1 then "" else "s")))
+    else { t with unknowns = t.unknowns + fresh }
+
+  let apply t (a : Action.t) =
+    let before = log_length t in
+    let t = check_unknowns { t with tc = O.apply t.tc a } ~before in
+    match a with
+    | Action.App_view (_, view, tset)
+      when (not (crashed t)) && should_send_snapshot t view tset ->
         let snap = encode_snapshot ~version:(version t) (state t) in
-        let tcr = ref t.tc in
-        Tord_client.push tcr snap;
-        { t with
-          tc = !tcr;
+        let r = ref t in
+        push r snap;
+        { !r with
           snapshot_bytes = t.snapshot_bytes + String.length snap;
           snapshots_sent = t.snapshots_sent + 1 }
-      end
-      else t
-  | _ -> t
+    | _ -> t
 
-(* Client-role component (wraps Tord_client): co-located at me. *)
-let footprint me (a : Action.t) =
-  let open Vsgc_ioa.Footprint in
-  match a with
-  | Action.App_send (p, _) | Action.Block_ok p | Action.App_deliver (p, _, _)
-  | Action.App_view (p, _, _) | Action.Block p | Action.Crash p | Action.Recover p
-    when Proc.equal p me -> rw [ Proc_state me ]
-  | _ -> empty
+  let component_of ~transfer_blind ~strict me tc =
+    let init =
+      {
+        tc;
+        me;
+        transfer_blind;
+        snapshot_bytes = 0;
+        snapshots_sent = 0;
+        strict;
+        unknowns = 0;
+      }
+    in
+    let def : t Vsgc_ioa.Component.def =
+      {
+        name = Fmt.str "replica_%a" Proc.pp me;
+        init;
+        accepts = accepts me;
+        outputs;
+        apply;
+        footprint = footprint me;
+        emits = emits me;
+        observe =
+          (fun st ->
+            [ (Vsgc_ioa.Footprint.Proc_state me, Vsgc_ioa.Component.digest st) ]);
+      }
+    in
+    let r = ref init in
+    (Vsgc_ioa.Component.pack_with_ref def r, r)
+end
 
-let emits me (a : Action.t) =
-  match a with
-  | Action.App_send (p, _) | Action.Block_ok p -> Proc.equal p me
-  | _ -> false
+(* -- The sequencer-arm instance ------------------------------------------- *)
 
-let observe me (st : t) =
-  [ (Vsgc_ioa.Footprint.Proc_state me, Vsgc_ioa.Component.digest st) ]
+module Tord_client = Vsgc_totalorder.Tord_client
+include Make (Tord_client)
 
 (* Under the executor strict mode defaults ON: a deployed replica that
    orders an undecodable command has a codec-drift bug worth a crash,
    not a skipped entry. *)
-let def ?transfer_blind ?(strict = true) ?batch_orders me :
-    t Vsgc_ioa.Component.def =
-  {
-    name = Fmt.str "replica_%a" Proc.pp me;
-    init = initial ?transfer_blind ~strict ?batch_orders me;
-    accepts = accepts me;
-    outputs;
-    apply;
-    footprint = footprint me;
-    emits = emits me;
-    observe = observe me;
-  }
+let component ?(transfer_blind = false) ?(strict = true) ?batch_orders me =
+  component_of ~transfer_blind ~strict me (Tord_client.initial ?batch_orders me)
 
-let component ?transfer_blind ?strict ?batch_orders me =
-  let d = def ?transfer_blind ?strict ?batch_orders me in
-  let r = ref d.Vsgc_ioa.Component.init in
-  (Vsgc_ioa.Component.pack_with_ref d r, r)
+(* -- The symmetric-arm instance (DESIGN.md §16) --------------------------- *)
+
+module Sym = struct
+  module Tord_sym_client = Vsgc_totalorder.Tord_sym_client
+  include Make (Tord_sym_client)
+
+  let component ?(strict = true) me =
+    component_of ~transfer_blind:false ~strict me (Tord_sym_client.initial me)
+end

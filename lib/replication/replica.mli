@@ -6,35 +6,20 @@
     totally ordered log as the commands (so adoption is deterministic
     everywhere). The [transfer_blind] ablation models a system without
     transitional sets: every member ships its snapshot at every view
-    change (bench E8). *)
+    change (bench E8).
+
+    The replica is written once, as {!Make}, over any total-order arm
+    ({!Vsgc_totalorder.Total_order.S}). This module's top level is the
+    sequencer-arm instance; {!Sym} is the symmetric-arm instance
+    (DESIGN.md §16). Both share the codec and the fold below, so their
+    states are the same pure function of their ordered logs. *)
 
 open Vsgc_types
 module Smap : Map.S with type key = string
-module Tord_client = Vsgc_totalorder.Tord_client
-module Tord_core = Vsgc_totalorder.Tord_core
 
 exception Codec_drift of string
 (** Raised in strict mode when an undecodable command reaches the
     totally ordered log. *)
-
-type t = {
-  tc : Tord_client.t;
-  me : Proc.t;
-  transfer_blind : bool;
-  snapshot_bytes : int;  (** total snapshot payload bytes multicast *)
-  snapshots_sent : int;
-  strict : bool;  (** raise {!Codec_drift} on Unknown ordered commands *)
-  unknowns : int;  (** Unknown commands tolerated (non-strict mode) *)
-}
-
-val initial :
-  ?transfer_blind:bool -> ?strict:bool -> ?batch_orders:bool -> Proc.t -> t
-(** [strict] defaults to [false] here (scripting contexts count codec
-    drift in {!unknowns}); the component {!def} defaults it to [true].
-    [batch_orders] selects the coalesced announcement path
-    ({!Tord_client.t.batch_orders}). *)
-
-val unknowns : t -> int
 
 (** {1 Commands and snapshots} *)
 
@@ -56,50 +41,55 @@ type cmd =
 
 val decode : string -> cmd
 
-(** {1 State (a pure fold of the totally ordered log)} *)
-
 val fold_state : ('a * string) list -> int * string Smap.t
 (** Fold decoded commands over an ordered (sender, payload) log — the
-    pure function both replica arms' {!state} is defined by. *)
+    pure function every replica's {!S.state} is defined by. *)
 
-val state : t -> string Smap.t
-val version : t -> int
-val get : t -> string -> string option
+(** {1 A replica over one total-order arm} *)
 
-(** {1 Cursor over the ordered log}
+module type S = sig
+  type t
 
-    The incremental KV store ({!Vsgc_kv.Kv_store}) consumes the log
-    through these instead of refolding {!state} per request. *)
+  include Vsgc_totalorder.Total_order.S with type t := t
+  (** A replica is itself a total order: {!push} queues a raw payload,
+      the cursor reads the arm's log, and {!apply} raises {!Codec_drift}
+      in strict mode on an Unknown ordered command. *)
 
-val log_length : t -> int
-(** Totally ordered entries so far (O(1)). *)
+  val unknowns : t -> int
 
-val ordered_from : t -> int -> string list
-(** Ordered command payloads from global position [k], oldest first;
-    a beyond-the-log cursor (reborn core) reads as empty. *)
+  (** {2 State (a pure fold of the totally ordered log)} *)
 
-(** {1 Scripting} *)
+  val state : t -> string Smap.t
+  val version : t -> int
+  val get : t -> string -> string option
 
-val set : t ref -> key:string -> value:string -> unit
+  (** {2 Scripting} *)
 
-val write :
-  t ref -> client:int -> seq:int -> key:string -> value:string -> unit
+  val set : t ref -> key:string -> value:string -> unit
 
-(** {1 Component} *)
+  val write :
+    t ref -> client:int -> seq:int -> key:string -> value:string -> unit
+end
 
-val outputs : t -> Action.t list
-val accepts : Proc.t -> Action.t -> bool
+module Make (_ : Vsgc_totalorder.Total_order.S) : S
+(** The replica over the given arm. Each instance below adds its own
+    component constructor, so arm-specific construction (the
+    sequencer's [batch_orders], its [transfer_blind] ablation) stays
+    with that arm. *)
 
-val apply : t -> Action.t -> t
-(** @raise Codec_drift in strict mode on an Unknown ordered command. *)
+(** {1 The sequencer-arm instance} *)
 
-val def :
-  ?transfer_blind:bool ->
-  ?strict:bool ->
-  ?batch_orders:bool ->
-  Proc.t ->
-  t Vsgc_ioa.Component.def
-(** [strict] defaults to [true] under the executor. *)
+type t = {
+  tc : Vsgc_totalorder.Tord_client.t;
+  me : Proc.t;
+  transfer_blind : bool;
+  snapshot_bytes : int;  (** total snapshot payload bytes multicast *)
+  snapshots_sent : int;
+  strict : bool;  (** raise {!Codec_drift} on Unknown ordered commands *)
+  unknowns : int;  (** Unknown commands tolerated (non-strict mode) *)
+}
+
+include S with type t := t
 
 val component :
   ?transfer_blind:bool ->
@@ -107,3 +97,16 @@ val component :
   ?batch_orders:bool ->
   Proc.t ->
   Vsgc_ioa.Component.packed * t ref
+(** [strict] defaults to [true]; with [false], codec drift is counted
+    in {!unknowns} instead of raised. [batch_orders] selects the
+    coalesced announcement path
+    ({!Vsgc_totalorder.Tord_client.t.batch_orders}). *)
+
+(** {1 The symmetric-arm instance} *)
+
+module Sym : sig
+  include S
+
+  val component : ?strict:bool -> Proc.t -> Vsgc_ioa.Component.packed * t ref
+  (** [strict] defaults as for the sequencer instance. *)
+end

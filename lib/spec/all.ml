@@ -38,7 +38,10 @@ let net () =
    classified as a violation rather than a quietly shrunken system. *)
 let net_selfstab () = net () @ [ Self_spec.rejoin () ]
 
-(* The symmetric-arm battery: the GCS properties still hold underneath
-   (same endpoints, same wire), plus the Skeen delivery-condition
-   monitor over the arm's Sym_deliver reports. *)
-let net_sym () = net_selfstab () @ [ Skeen_spec.monitor () ]
+(* The battery for a deployment of either total-order arm. The
+   symmetric arm's GCS properties still hold underneath (same
+   endpoints, same wire), plus the Skeen delivery-condition monitor
+   over the arm's Sym_deliver reports. *)
+let net_arm = function
+  | `Gcs -> net_selfstab ()
+  | `Sym -> net_selfstab () @ [ Skeen_spec.monitor () ]

@@ -16,7 +16,9 @@ val net_selfstab : unit -> Vsgc_ioa.Monitor.t list
 (** {!net} plus {!Self_spec.rejoin}: the fault layer's bundle — every
     crash must complete the §8 rejoin (DESIGN.md §13). *)
 
-val net_sym : unit -> Vsgc_ioa.Monitor.t list
-(** {!net_selfstab} plus {!Skeen_spec.monitor}: the symmetric-arm
-    battery (DESIGN.md §16) — the GCS properties hold underneath, and
-    the arm's deliveries must satisfy the Skeen condition. *)
+val net_arm : [ `Gcs | `Sym ] -> Vsgc_ioa.Monitor.t list
+(** The battery for a deployment of the given total-order arm:
+    {!net_selfstab} for the sequencer arm; for the symmetric arm
+    (DESIGN.md §16) also {!Skeen_spec.monitor} — the GCS properties
+    hold underneath, and the arm's deliveries must satisfy the Skeen
+    condition. *)

@@ -52,6 +52,16 @@ let total_order t =
 
 let views t = List.rev t.views
 let last_view t = match t.views with [] -> None | v :: _ -> Some v
+let crashed t = t.crashed
+
+(* -- Stable-prefix cursor ------------------------------------------------- *)
+
+let log_length t = Tord_core.total_count t.core
+
+let ordered_from t k =
+  List.map
+    (fun (e : Tord_core.entry) -> e.Tord_core.payload)
+    (Tord_core.entries_from t.core k)
 
 (* -- Component ------------------------------------------------------------ *)
 

@@ -23,17 +23,7 @@ type t = {
 
 val initial : ?batch_orders:bool -> Proc.t -> t
 
-val push : t ref -> string -> unit
-(** Queue a payload for totally ordered multicast. *)
+include Total_order.S with type t := t
 
-val total_order : t -> (Proc.t * string) list
-(** (original sender, payload), oldest first. *)
-
-val views : t -> (View.t * Proc.Set.t) list
-val last_view : t -> (View.t * Proc.Set.t) option
-
-val outputs : t -> Action.t list
-val accepts : Proc.t -> Action.t -> bool
-val apply : t -> Action.t -> t
 val def : ?batch_orders:bool -> Proc.t -> t Vsgc_ioa.Component.def
 val component : ?batch_orders:bool -> Proc.t -> Vsgc_ioa.Component.packed * t ref

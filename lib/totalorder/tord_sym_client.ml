@@ -51,7 +51,13 @@ let total_order t =
 
 let views t = List.rev t.views
 let last_view t = match t.views with [] -> None | v :: _ -> Some v
-let core t = t.core
+let crashed t = t.crashed
+let log_length t = Tord_symmetric.total_count t.core
+
+let ordered_from t k =
+  List.map
+    (fun (e : Tord_symmetric.entry) -> e.Tord_symmetric.payload)
+    (Tord_symmetric.entries_from t.core k)
 
 let report_of (e : Tord_symmetric.entry) =
   (e.Tord_symmetric.sender, e.Tord_symmetric.ts, e.Tord_symmetric.payload)

@@ -23,19 +23,7 @@ type t = {
 
 val initial : Proc.t -> t
 
-val push : t ref -> string -> unit
-(** Queue a payload for totally ordered multicast. *)
+include Total_order.S with type t := t
 
-val total_order : t -> (Proc.t * string) list
-val views : t -> (View.t * Proc.Set.t) list
-val last_view : t -> (View.t * Proc.Set.t) option
-
-val core : t -> Tord_symmetric.t
-(** The ordering core — cursor access ({!Tord_symmetric.entries_from})
-    for stable-delivery consumers. *)
-
-val outputs : t -> Action.t list
-val accepts : Proc.t -> Action.t -> bool
-val apply : t -> Action.t -> t
 val def : Proc.t -> t Vsgc_ioa.Component.def
 val component : Proc.t -> Vsgc_ioa.Component.packed * t ref

@@ -5,7 +5,7 @@
 
    - Determinism: a faulted symmetric-arm deployment replays to a
      pinned fingerprint under BOTH executor scheduling modes, with the
-     full net_sym battery (Skeen monitor included) attached.
+     full symmetric-arm battery (Skeen monitor included) attached.
    - The shared harness is fair: the GCS arm's batched and unbatched
      stable-delivery modes fold the same open-loop history into
      byte-identical stores.
@@ -95,8 +95,7 @@ let split =
 
 let slo ?script ~arm ~batch () =
   Kv_system.slo_run ~seed:77 ~batch ~arm
-    ~monitors:
-      (match arm with `Gcs -> All.net_selfstab () | `Sym -> All.net_sym ())
+    ~monitors:(All.net_arm arm)
     ~n:3 ~n_servers:2 ~homes:[ 0; 2 ] ~clients:2 ~rate:2.0 ~count:40 ?script ()
 
 let complete (r : Kv_system.report) what =

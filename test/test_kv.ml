@@ -8,7 +8,6 @@
 open Vsgc_types
 module System = Vsgc_harness.System
 module Replica = Vsgc_replication.Replica
-module Tord_client = Vsgc_totalorder.Tord_client
 module Histogram = Vsgc_kv.Histogram
 module Kv_store = Vsgc_kv.Kv_store
 module Kv_load = Vsgc_kv.Kv_load
@@ -62,39 +61,50 @@ let test_hist_merge () =
 
 (* -- Kv_store vs the replica's pure fold ----------------------------------- *)
 
-let build ?strict ~seed ~n () =
+(* A replica instance of either total-order arm, with the component
+   constructor both instances share. *)
+module type REPLICA = sig
+  include Replica.S
+
+  val component :
+    ?strict:bool -> Proc.t -> Vsgc_ioa.Component.packed * t ref
+end
+
+let gcs : (module REPLICA) =
+  (module struct
+    include Replica
+
+    let component ?strict p = Replica.component ?strict p
+  end)
+
+let sym : (module REPLICA) = (module Replica.Sym)
+
+let build (type r) (module R : REPLICA with type t = r) ?strict ~seed ~n () =
   let refs = Hashtbl.create 8 in
   let sys =
     System.create ~seed ~n
       ~client_builder:(fun p ->
-        let c, r = Replica.component ?strict p in
+        let c, r = R.component ?strict p in
         Hashtbl.replace refs p r;
         c)
       ()
   in
-  (sys, fun p -> Hashtbl.find refs p)
+  (sys, fun p : r ref -> Hashtbl.find refs p)
 
-(* Queue a raw (possibly undecodable) payload for ordered multicast,
-   the same out-of-band idiom as [Replica.set]. *)
-let push_raw (r : Replica.t ref) payload =
-  let tc = ref !r.Replica.tc in
-  Tord_client.push tc payload;
-  r := { !r with Replica.tc = !tc }
-
-let test_store_matches_fold () =
+let test_store_matches_fold (module R : REPLICA) () =
   (* Split-brain, writes on both sides, merge (snapshot transfer), more
      writes — then the incremental store fed from the cursor must agree
      with the pure fold on every replica. *)
-  let sys, rep = build ~seed:311 ~n:4 () in
+  let sys, rep = build (module R) ~seed:311 ~n:4 () in
   ignore (System.reconfigure sys ~origin:0 ~set:(Proc.Set.of_range 0 1));
   ignore (System.reconfigure sys ~origin:1 ~set:(Proc.Set.of_range 2 3));
   System.settle sys;
-  Replica.set (rep 0) ~key:"left" ~value:"l";
-  Replica.write (rep 2) ~client:9 ~seq:0 ~key:"right" ~value:"r";
+  R.set (rep 0) ~key:"left" ~value:"l";
+  R.write (rep 2) ~client:9 ~seq:0 ~key:"right" ~value:"r";
   System.settle sys;
   ignore (System.reconfigure sys ~origin:0 ~set:(Proc.Set.of_range 0 3));
   System.settle sys;
-  Replica.write (rep 3) ~client:9 ~seq:1 ~key:"after" ~value:"!";
+  R.write (rep 3) ~client:9 ~seq:1 ~key:"after" ~value:"!";
   System.settle sys;
   List.iter
     (fun p ->
@@ -102,14 +112,14 @@ let test_store_matches_fold () =
       let store = Kv_store.create () in
       List.iter
         (fun payload -> ignore (Kv_store.apply store payload))
-        (Replica.ordered_from r 0);
+        (R.ordered_from r 0);
       Alcotest.(check string)
         (Fmt.str "store digest = fold digest at %d" p)
-        (Kv_store.digest_map (Replica.state r))
+        (Kv_store.digest_map (R.state r))
         (Kv_store.digest store);
       Alcotest.(check int)
         (Fmt.str "store version = fold version at %d" p)
-        (Replica.version r) (Kv_store.version store);
+        (R.version r) (Kv_store.version store);
       Alcotest.(check bool)
         (Fmt.str "write id applied at %d" p)
         true
@@ -131,30 +141,30 @@ let test_store_dedups_write_ids () =
 
 (* -- Strict codec drift (ISSUE satellite: no silent Unknowns) -------------- *)
 
-let test_nonstrict_counts_unknowns () =
-  let sys, rep = build ~strict:false ~seed:411 ~n:3 () in
+let test_nonstrict_counts_unknowns (module R : REPLICA) () =
+  let sys, rep = build (module R) ~strict:false ~seed:411 ~n:3 () in
   ignore (System.reconfigure sys ~set:(Proc.Set.of_range 0 2));
   System.settle sys;
-  push_raw (rep 0) "Zmystery-command";
-  Replica.set (rep 1) ~key:"ok" ~value:"1";
+  R.push (rep 0) "Zmystery-command";
+  R.set (rep 1) ~key:"ok" ~value:"1";
   System.settle sys;
   List.iter
     (fun p ->
       Alcotest.(check int)
         (Fmt.str "unknown counted at %d" p)
         1
-        (Replica.unknowns !(rep p)))
+        (R.unknowns !(rep p)))
     [ 0; 1; 2 ];
   Alcotest.(check bool) "good write still applied" true
-    (Replica.get !(rep 2) "ok" = Some "1")
+    (R.get !(rep 2) "ok" = Some "1")
 
-let test_strict_raises_on_unknown () =
+let test_strict_raises_on_unknown (module R : REPLICA) () =
   (* The component default: an undecodable command reaching the totally
      ordered log is a codec bug, not data. *)
-  let sys, rep = build ~strict:true ~seed:412 ~n:2 () in
+  let sys, rep = build (module R) ~strict:true ~seed:412 ~n:2 () in
   ignore (System.reconfigure sys ~set:(Proc.Set.of_range 0 1));
   System.settle sys;
-  push_raw (rep 0) "Zmystery-command";
+  R.push (rep 0) "Zmystery-command";
   let raised =
     try
       System.settle sys;
@@ -303,14 +313,22 @@ let suite =
     Alcotest.test_case "histogram: exact below 16" `Quick test_hist_small_exact;
     Alcotest.test_case "histogram: bounded error" `Quick test_hist_error_bound;
     Alcotest.test_case "histogram: merge" `Quick test_hist_merge;
-    Alcotest.test_case "store matches the pure fold" `Quick
-      test_store_matches_fold;
+  ]
+  @ List.concat_map
+      (fun (arm, r) ->
+        [
+          Alcotest.test_case ("store matches the pure fold" ^ arm) `Quick
+            (test_store_matches_fold r);
+          Alcotest.test_case ("non-strict replica counts unknowns" ^ arm)
+            `Quick
+            (test_nonstrict_counts_unknowns r);
+          Alcotest.test_case ("strict replica raises on unknown" ^ arm) `Quick
+            (test_strict_raises_on_unknown r);
+        ])
+      [ ("", gcs); (" [sym]", sym) ]
+  @ [
     Alcotest.test_case "store dedups write ids" `Quick
       test_store_dedups_write_ids;
-    Alcotest.test_case "non-strict replica counts unknowns" `Quick
-      test_nonstrict_counts_unknowns;
-    Alcotest.test_case "strict replica raises on unknown" `Quick
-      test_strict_raises_on_unknown;
     Alcotest.test_case "load: open-loop schedule" `Quick
       test_load_open_loop_schedule;
     Alcotest.test_case "load: ack dedup and stall" `Quick

@@ -157,6 +157,59 @@ let test_node_survives_malformed () =
   Alcotest.(check int) "counted" 1 (Node.malformed node);
   Alcotest.(check bool) "still quiescent" true (Node.quiescent node)
 
+(* A peer crash costs the link, never the process: once the peer is
+   gone, writes to it fail with EPIPE. Under SIGPIPE's default action
+   that write would kill this process (the test runner); Tcp ignores
+   the signal, so the write error drops the link and reports Down. *)
+let test_tcp_survives_dead_peer () =
+  let module Tcp = Vsgc_net.Tcp in
+  let module Transport = Vsgc_net.Transport in
+  let module Node_id = Vsgc_wire.Node_id in
+  (* A port the kernel just handed out, so none is hard-coded. *)
+  let free_port =
+    let s = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+    Fun.protect
+      ~finally:(fun () -> Unix.close s)
+      (fun () ->
+        Unix.bind s (Unix.ADDR_INET (Unix.inet_addr_loopback, 0));
+        match Unix.getsockname s with
+        | Unix.ADDR_INET (_, port) -> port
+        | Unix.ADDR_UNIX _ -> assert false)
+  in
+  let addr = ("127.0.0.1", free_port) in
+  let a_id = Node_id.Client 0 and b_id = Node_id.Client 1 in
+  let a = Tcp.create (Tcp.config ~listen:(Some addr) ~poll_timeout:0.01 a_id) in
+  let b =
+    Tcp.create (Tcp.config ~peers:[ (a_id, addr) ] ~poll_timeout:0.01 b_id)
+  in
+  let is_b = Node_id.equal b_id in
+  let rec until ~tries what step =
+    if tries = 0 then Alcotest.failf "timed out waiting for %s" what
+    else if not (step ()) then until ~tries:(tries - 1) what step
+  in
+  until ~tries:500 "the link to come up" (fun () ->
+      ignore (Transport.recv b);
+      List.exists
+        (function Transport.Up id -> is_b id | _ -> false)
+        (Transport.recv a));
+  (* Drained, b's close sends a FIN rather than a reset, so a's first
+     write succeeds and draws the reset that makes its second write
+     fail with EPIPE — the signal-raising case. *)
+  for _ = 1 to 5 do
+    ignore (Transport.recv b)
+  done;
+  Transport.close b;
+  Unix.sleepf 0.02;
+  let pkt = Vsgc_wire.Packet.Join 0 in
+  until ~tries:500 "Down after the peer closed" (fun () ->
+      Transport.send a b_id pkt;
+      Unix.sleepf 0.005;
+      Transport.send a b_id pkt;
+      List.exists
+        (function Transport.Down id -> is_b id | _ -> false)
+        (Transport.recv a));
+  Transport.close a
+
 let suite =
   [
     Alcotest.test_case "loopback = in-memory (single sender)" `Quick
@@ -169,4 +222,6 @@ let suite =
       test_server_mode_agreement;
     Alcotest.test_case "malformed events never kill a node" `Quick
       test_node_survives_malformed;
+    Alcotest.test_case "tcp: a dead peer costs the link, not the process"
+      `Quick test_tcp_survives_dead_peer;
   ]
