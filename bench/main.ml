@@ -62,20 +62,15 @@ end
    runs the hot-path experiments for shape, not for numbers. *)
 let smoke = ref false
 
-(* Every row carries the host parallelism, compiler and pool width it
-   was measured under, so numbers from different machines or -jobs
-   settings are never compared as like-for-like. An experiment that
-   already recorded one of these keys (E19 records its own [jobs])
-   wins over the ambient value. *)
+(* Every row carries the host parallelism and compiler it was measured
+   under, so numbers from different machines are never compared as
+   like-for-like. *)
 let with_meta fields =
-  let ambient =
-    [
+  fields
+  @ [
       ("cores", Json.Int (Vsgc_ioa.Dpool.recommended_jobs ()));
       ("ocaml_version", Json.Str Sys.ocaml_version);
-      ("jobs", Json.Int (Executor.get_default_jobs ()));
     ]
-  in
-  fields @ List.filter (fun (k, _) -> not (List.mem_assoc k fields)) ambient
 
 let bench_rows : Json.t list ref = ref []
 let record fields = bench_rows := Json.Obj (with_meta fields) :: !bench_rows
@@ -102,11 +97,6 @@ let record_kv fields = kv_rows := Json.Obj (with_meta fields) :: !kv_rows
 let bakeoff_rows : Json.t list ref = ref []
 let record_bakeoff fields = bakeoff_rows := Json.Obj (with_meta fields) :: !bakeoff_rows
 
-(* E19's multicore rows — the deterministic-merge gate and the scaling
-   arms — land in BENCH_multicore.json. *)
-let mc_rows : Json.t list ref = ref []
-let record_mc fields = mc_rows := Json.Obj (with_meta fields) :: !mc_rows
-
 let write_file file rows =
   match List.rev rows with
   | [] -> ()
@@ -123,8 +113,7 @@ let write_rows () =
     write_file "BENCH_hotpath.json" !hot_rows;
     write_file "BENCH_sanitize.json" !san_rows;
     write_file "BENCH_kv.json" !kv_rows;
-    write_file "BENCH_bakeoff.json" !bakeoff_rows;
-    write_file "BENCH_multicore.json" !mc_rows
+    write_file "BENCH_bakeoff.json" !bakeoff_rows
   end
 
 (* -- Round-measurement helpers ------------------------------------------- *)
@@ -605,10 +594,7 @@ let e11 () =
    like-for-like scheduling-cost comparison. *)
 
 let e13_run ~mode ~sync ~n ~reps =
-  Executor.set_default_mode mode;
-  Fun.protect
-    ~finally:(fun () -> Executor.set_default_mode `Cached)
-    (fun () ->
+  Executor.with_config { (Executor.config ()) with mode } (fun () ->
       let sys = System.create ~seed:21 ~monitors:`None ~n () in
       let all = Proc.Set.of_range 0 (n - 1) in
       ignore (System.reconfigure sys ~set:all);
@@ -796,10 +782,7 @@ let e14 () =
    and a shipped-component violation fails the bench outright. *)
 
 let e16_run ~sanitize ~n ~reps =
-  Executor.set_default_sanitize sanitize;
-  Fun.protect
-    ~finally:(fun () -> Executor.set_default_sanitize None)
-    (fun () ->
+  Executor.with_config { (Executor.config ()) with sanitize } (fun () ->
       let sys = System.create ~seed:23 ~monitors:`None ~n () in
       let all = Proc.Set.of_range 0 (n - 1) in
       ignore (System.reconfigure sys ~set:all);
@@ -1095,249 +1078,6 @@ let e18 () =
         (scripts n))
     [ 3; 5; 8 ]
 
-(* -- E19: multicore executor (DESIGN.md §17) ------------------------------- *)
-
-(* Four arms.
-
-   det_merge — the gate: [`Parallel]+[`Deterministic] fans the per-step
-   candidate refresh across the pool but must stay bit-identical to
-   [`Rescan] in steps AND fingerprint; any drift aborts the bench.
-
-   racy_full_system — the honest arm: on the shipped composition the
-   reliable-FIFO hub and the membership oracle connect most protocol
-   actions, so the partition yields far fewer groups than a clean
-   k-way split and most multicast work serialises into one big group.
-   The row records the measured group count so the degeneracy (or
-   lack of it) is data, not assumption; jobs-independence of the
-   merged trace is still asserted.
-
-   racy_synthetic — the scaling arm the partition was built for: k
-   footprint-disjoint worker components in ONE executor form k
-   singleton groups, so group quanta actually run concurrently.
-
-   fleet — embarrassingly-parallel control: k independent full systems
-   fanned across the pool, bounding what the substrate can deliver.
-
-   Speedup assertions are conditional on the host actually having >= 8
-   useful domains — on fewer cores the machinery must still be correct
-   and deterministic, but no wall-clock claim is checkable. *)
-
-module Partition = Vsgc_ioa.Partition
-module Dpool = Vsgc_ioa.Dpool
-module Component = Vsgc_ioa.Component
-module Footprint = Vsgc_ioa.Footprint
-
-let e19_run ~mode ~merge ~jobs ~n ~reps =
-  Executor.set_default_mode mode;
-  Executor.set_default_merge merge;
-  Executor.set_default_jobs jobs;
-  Fun.protect
-    ~finally:(fun () ->
-      Executor.set_default_mode `Cached;
-      Executor.set_default_merge `Deterministic;
-      Executor.set_default_jobs 1)
-    (fun () ->
-      let sys = System.create ~seed:29 ~monitors:`None ~n () in
-      let all = Proc.Set.of_range 0 (n - 1) in
-      ignore (System.reconfigure sys ~set:all);
-      System.settle sys;
-      let exec = System.exec sys in
-      (* Warm-up rep doubles as the honest partition sample: the
-         runtime partition is probed from currently *enabled* actions,
-         so it must be read while multicast work is in flight — at
-         quiescence every component is trivially its own singleton. *)
-      System.broadcast sys ~senders:all ~per_sender:2;
-      let groups = Partition.n_groups (Executor.partition exec) in
-      System.settle ~max_steps:10_000_000 sys;
-      let m = Executor.metrics exec in
-      let s0 = Metrics.steps m in
-      let t0 = Unix.gettimeofday () in
-      for _ = 1 to reps do
-        System.broadcast sys ~senders:all ~per_sender:2;
-        System.settle ~max_steps:10_000_000 sys
-      done;
-      let dt = Unix.gettimeofday () -. t0 in
-      let steps = Metrics.steps m - s0 in
-      ( float_of_int steps /. dt,
-        steps,
-        Vsgc_ioa.Trace_stats.fingerprint (Executor.trace exec),
-        groups ))
-
-(* One synthetic worker: a private counter behind a private Global
-   cell, emitting its own App_send until its budget is spent. Workers
-   share no participant and no location, so the partition gives k
-   singleton groups. *)
-let e19_worker ~budget i =
-  let act = Action.App_send (i, Msg.App_msg.make (Fmt.str "w%d" i)) in
-  let loc = Footprint.Global (Fmt.str "e19-worker-%d" i) in
-  Component.make
-    ~footprint:(fun a ->
-      if Action.equal a act then { Footprint.reads = [ loc ]; writes = [ loc ] }
-      else Footprint.empty)
-    ~emits:(Action.equal act)
-    ~observe:(fun s -> [ (loc, Component.digest s) ])
-    ~name:(Fmt.str "e19-worker-%d" i)
-    ~init:0
-    ~accepts:(fun _ -> false)
-    ~outputs:(fun s -> if s < budget then [ act ] else [])
-    ~apply:(fun s _ -> s + 1)
-    ()
-
-let e19_workers ~k ~budget ~jobs =
-  let comps = List.init k (fun i -> Component.pack (e19_worker ~budget i)) in
-  let exec =
-    Executor.create ~seed:5 ~keep_trace:false ~mode:`Parallel ~merge:`Racy
-      ~jobs ~sanitize:None comps
-  in
-  let groups = Partition.n_groups (Executor.partition exec) in
-  let t0 = Unix.gettimeofday () in
-  (match Executor.run ~max_steps:((k * budget) + 1) exec with
-  | Executor.Quiescent _ -> ()
-  | Executor.Step_limit -> failwith "E19: synthetic workers did not quiesce");
-  let dt = Unix.gettimeofday () -. t0 in
-  let steps = Metrics.steps (Executor.metrics exec) in
-  if steps <> k * budget then
-    failwith
-      (Fmt.str "E19: synthetic arm lost steps: %d, want %d" steps (k * budget));
-  (dt, groups)
-
-let e19_fleet ~k ~n ~jobs =
-  let run_one i =
-    let sys = System.create ~seed:(400 + i) ~monitors:`None ~n () in
-    let all = Proc.Set.of_range 0 (n - 1) in
-    ignore (System.reconfigure sys ~set:all);
-    System.settle sys;
-    System.broadcast sys ~senders:all ~per_sender:2;
-    System.settle ~max_steps:10_000_000 sys
-  in
-  let t0 = Unix.gettimeofday () in
-  Dpool.run (Dpool.global ~jobs) run_one k;
-  Unix.gettimeofday () -. t0
-
-let e19 () =
-  section "E19" "multicore executor: deterministic-merge gate + scaling arms";
-  let cores = Dpool.recommended_jobs () in
-  rowf "host: %d recommended domain(s), OCaml %s@." cores Sys.ocaml_version;
-  (* n caps at 32: the gate needs a `Rescan baseline per cell, and
-     full rescan at n=64 is O(hours) on a small host (cf. E13). *)
-  let jobs_list = if !smoke then [ 2 ] else [ 1; 2; 4; 8 ] in
-  let ns = if !smoke then [ 8 ] else [ 8; 32 ] in
-
-  rowf "@.deterministic merge (must be bit-identical to rescan)@.";
-  rowf "%6s  %6s  %14s  %14s  %9s@." "n" "jobs" "par st/s" "rescan st/s"
-    "ratio";
-  List.iter
-    (fun n ->
-      let reps = if !smoke then 1 else 2 in
-      let r_sps, r_steps, r_fp, _ =
-        e19_run ~mode:`Rescan ~merge:`Deterministic ~jobs:1 ~n ~reps
-      in
-      List.iter
-        (fun jobs ->
-          let p_sps, p_steps, p_fp, _ =
-            e19_run ~mode:`Parallel ~merge:`Deterministic ~jobs ~n ~reps
-          in
-          if p_steps <> r_steps || not (String.equal p_fp r_fp) then
-            failwith
-              (Fmt.str
-                 "E19: deterministic merge diverged from rescan at n=%d \
-                  jobs=%d"
-                 n jobs);
-          rowf "%6d  %6d  %14.0f  %14.0f  %8.2fx@." n jobs p_sps r_sps
-            (p_sps /. r_sps);
-          record_mc
-            [
-              ("experiment", Json.Str "det_merge");
-              ("n", Json.Int n);
-              ("jobs", Json.Int jobs);
-              ("steps", Json.Int p_steps);
-              ("steps_per_sec", Json.Num p_sps);
-              ("rescan_steps_per_sec", Json.Num r_sps);
-              ("speedup_vs_rescan", Json.Num (p_sps /. r_sps));
-            ])
-        jobs_list)
-    ns;
-
-  rowf "@.racy full system (the partition collapses here — measured, \
-        not hidden)@.";
-  let racy_n = if !smoke then 8 else 32 in
-  let racy_reps = if !smoke then 1 else 2 in
-  let fps =
-    List.map
-      (fun jobs ->
-        let sps, steps, fp, groups =
-          e19_run ~mode:`Parallel ~merge:`Racy ~jobs ~n:racy_n ~reps:racy_reps
-        in
-        rowf "%6d  %6d  %14.0f st/s  %3d group(s)@." racy_n jobs sps groups;
-        record_mc
-          [
-            ("experiment", Json.Str "racy_full_system");
-            ("n", Json.Int racy_n);
-            ("jobs", Json.Int jobs);
-            ("groups", Json.Int groups);
-            ("steps", Json.Int steps);
-            ("steps_per_sec", Json.Num sps);
-          ];
-        fp)
-      jobs_list
-  in
-  (match fps with
-  | fp :: rest when not (List.for_all (String.equal fp) rest) ->
-      failwith "E19: racy merged trace is not jobs-independent"
-  | _ -> ());
-
-  rowf "@.synthetic k-group racy scaling@.";
-  let k = 8 in
-  let budget = if !smoke then 500 else 20_000 in
-  let sjobs = if !smoke then [ 1; 2 ] else [ 1; 2; 4; 8 ] in
-  let base = ref 0.0 in
-  List.iter
-    (fun jobs ->
-      let dt, groups = e19_workers ~k ~budget ~jobs in
-      if jobs = 1 then base := dt;
-      let sp = if dt > 0. then !base /. dt else 0. in
-      rowf "%6d workers  %4d jobs  %8.3fs  %8.2fx  (%d groups)@." k jobs dt
-        sp groups;
-      record_mc
-        [
-          ("experiment", Json.Str "racy_synthetic");
-          ("workers", Json.Int k);
-          ("jobs", Json.Int jobs);
-          ("groups", Json.Int groups);
-          ("wall_s", Json.Num dt);
-          ("speedup", Json.Num sp);
-        ];
-      if cores >= 8 && (not !smoke) && jobs = 8 && sp < 4.0 then
-        failwith
-          (Fmt.str "E19: synthetic racy speedup %.2fx < 4x at 8 jobs on %d \
-                    cores"
-             sp cores))
-    sjobs;
-
-  rowf "@.fleet of independent systems (embarrassingly-parallel bound)@.";
-  let fleet_n = if !smoke then 4 else 8 in
-  let fbase = ref 0.0 in
-  List.iter
-    (fun jobs ->
-      let dt = e19_fleet ~k ~n:fleet_n ~jobs in
-      if jobs = 1 then fbase := dt;
-      let sp = if dt > 0. then !fbase /. dt else 0. in
-      rowf "%6d systems  %4d jobs  %8.3fs  %8.2fx@." k jobs dt sp;
-      record_mc
-        [
-          ("experiment", Json.Str "fleet");
-          ("systems", Json.Int k);
-          ("n", Json.Int fleet_n);
-          ("jobs", Json.Int jobs);
-          ("wall_s", Json.Num dt);
-          ("speedup", Json.Num sp);
-        ];
-      if cores >= 8 && (not !smoke) && jobs = 8 && sp < 4.0 then
-        failwith
-          (Fmt.str "E19: fleet speedup %.2fx < 4x at 8 jobs on %d cores" sp
-             cores))
-    sjobs
-
 (* -- Driver ------------------------------------------------------------------ *)
 
 let all : (string * string * (unit -> unit)) list =
@@ -1357,7 +1097,6 @@ let all : (string * string * (unit -> unit)) list =
     ("E16", "effect-sanitizer overhead", e16);
     ("E17", "replicated KV service: load, batching, SLO", e17);
     ("E18", "total-order bake-off: GCS sequencer vs symmetric Skeen", e18);
-    ("E19", "multicore executor: det-merge gate + scaling arms", e19);
   ]
 
 let () =

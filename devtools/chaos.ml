@@ -18,17 +18,7 @@
    equal fingerprints, so CI replays are exact. *)
 
 module F = Vsgc_fault
-module Executor = Vsgc_ioa.Executor
-
 let die fmt = Fmt.kstr (fun s -> Fmt.epr "chaos: %s@." s; exit 2) fmt
-
-(* -jobs N: width of the domain pool every deployment's executor uses
-   when VSGC_SCHED selects a [`Parallel] mode (DESIGN.md §17). *)
-let set_jobs j =
-  if j < 1 then die "-jobs must be at least 1";
-  Executor.set_default_jobs j
-
-let jobs_opt = ("-jobs", Arg.Int set_jobs, "J executor domain-pool width (default 1)")
 
 let layer_of_string = function
   | "wv" -> `Wv
@@ -79,7 +69,6 @@ let find_opts =
     ("-delay", Arg.Set_int delay, "D baseline delay knob (default 1)");
     ("-o", Arg.Set_string out, "FILE save the (shrunk) finding here");
     ("-quiet", Arg.Set quiet, " only print the outcome line");
-    jobs_opt;
   ]
 
 let cmd_find args =
@@ -149,10 +138,6 @@ let cmd_replay args =
     | "-quiet" :: rest ->
         quiet := true;
         strip acc rest
-    | "-jobs" :: j :: rest -> (
-        match int_of_string_opt j with
-        | Some j -> set_jobs j; strip acc rest
-        | None -> die "-jobs wants an integer, got %S" j)
     | f :: rest -> strip (f :: acc) rest
   in
   let files = strip [] args in
@@ -230,7 +215,6 @@ let soak_opts =
       "L wv|vs|full (default full)" );
     ("-delay", Arg.Set_int delay, "D baseline delay knob (default 1)");
     ("-quiet", Arg.Set quiet, " only print the summary");
-    jobs_opt;
   ]
 
 let detection_latencies ~corruptions ~detections =

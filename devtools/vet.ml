@@ -21,12 +21,8 @@
      vet hotpath [DIR]      flag copy idioms (Buffer.to_bytes,
                             Bytes.sub_string) on the zero-copy wire
                             hot path (default lib/wire)
-     vet domains            audit the planned multicore partition of
-                            every shipped composition against the
-                            footprint independence relation
-                            (DESIGN.md §17)
      vet all [DIR]          wiring + inherit + effects + corpus + wire
-                            + hotpath + domains
+                            + hotpath
 
    The global [-json] (or [--json]) flag switches diagnostic output to
    one JSON object per finding (JSONL on stdout, no summary lines), so
@@ -92,12 +88,6 @@ let hotpath ?dir () =
   let dir = Option.value dir ~default:"lib/wire" in
   report ("hotpath " ^ dir) (A.Hotpath_check.check ~dir ())
 
-let domains () =
-  List.fold_left
-    (fun acc (label, diags) -> acc + report label diags)
-    0
-    (A.Domain_check.all ())
-
 let fixture name =
   match A.Fixtures.find name with
   | None ->
@@ -150,14 +140,13 @@ let () =
         | None -> die "fixture: missing name (or -list)")
     | Some "wire" -> wire ()
     | Some "hotpath" -> hotpath ?dir:(arg 2) ()
-    | Some "domains" -> domains ()
     | Some "all" ->
         wiring () + inherit_ () + effects ()
         + corpus (Option.value (arg 2) ~default:"test/corpus")
-        + wire () + hotpath () + domains ()
+        + wire () + hotpath ()
     | Some cmd ->
-        die "unknown subcommand %S (wiring|inherit|effects|corpus|fixture|wire|hotpath|domains|all)" cmd
+        die "unknown subcommand %S (wiring|inherit|effects|corpus|fixture|wire|hotpath|all)" cmd
     | None ->
-        die "usage: vet [-json] (wiring|inherit|effects|corpus|fixture NAME|wire|hotpath|domains|all)"
+        die "usage: vet [-json] (wiring|inherit|effects|corpus|fixture NAME|wire|hotpath|all)"
   in
   exit (if count = 0 then 0 else 1)

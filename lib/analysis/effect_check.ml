@@ -7,8 +7,7 @@
    - coarse-fallback: the component is still on the Footprint.coarse
      default (every action mapped to one Global cell). Sound but
      useless — it serializes the component against everything, so the
-     explorer never prunes around it and the planned multicore
-     partitioning could never schedule it in parallel. Shipped
+     explorer never prunes around it. Shipped
      components must declare real footprints or be whitelisted here
      with a reason.
 

@@ -21,122 +21,60 @@
    oracle moves), bypassing [perform]; every PUBLIC entry point that
    reads the cache therefore resynchronizes first, and only the internal
    run loop — where all mutation flows through [perform] — trusts the
-   incremental invalidation.
-
-   Multicore ([`Parallel], DESIGN.md §17) splits in two along the merge
-   knob. [`Deterministic] keeps the sequential decision loop — every
-   scheduling decision depends on the post-state of the previous step
-   through the RNG, so a free-running parallel scheduler cannot
-   reproduce it — and parallelizes the per-step WORK instead: when
-   enough per-component candidate lists are dirty, their refresh (a
-   pure function of each component's own state) fans out across the
-   domain pool and is committed in canonical component order, giving a
-   bit-identical candidate list, RNG stream, trace and fingerprint to
-   [`Rescan] by construction. [`Racy] is the footprint-partitioned
-   engine: components are grouped by static participation
-   ({!Partition}), each group steps on its own domain with its own
-   keyed RNG stream for a bounded quantum — performing only actions
-   whose exact participants stay inside the group, which is race-free
-   because a participant's step touches only its own state ref — and
-   the master merges the per-group logs in canonical (group, local
-   order) at a barrier, where metrics, monitors and hooks observe the
-   merged prefix and cross-group actions are performed sequentially.
-   The merged log is a real execution of the composition (each group's
-   steps commute with the other groups' — that is what the partition
-   means), so the invariant battery and the spec monitors judge it
-   as-is; it is reproducible and jobs-independent, but NOT
-   fingerprint-identical to [`Rescan]. *)
+   incremental invalidation. *)
 
 open Vsgc_types
 
-type mode = [ `Cached | `Rescan | `Parallel ]
-type merge = [ `Deterministic | `Racy ]
+type mode = [ `Cached | `Rescan ]
+type config = { mode : mode; sanitize : Sanitizer.policy option }
 
-(* -- Environment knobs (parsed loudly: an unrecognized value warns on
-   stderr, naming the accepted values, and falls back to the default —
-   it is never silently coerced to some other non-default). *)
+(* Parsed loudly: an unrecognized value warns, naming the accepted
+   values, and keeps the default — it is never silently coerced to some
+   other non-default (an unknown VSGC_SANITIZE once turned the RAISING
+   sanitizer on). [VSGC_SCHED=rescan] forces the pre-cache scanning
+   scheduler, which the CI fingerprint gate replays the corpus under;
+   [VSGC_SANITIZE] attaches the effect sanitizer (DESIGN.md §14) to
+   every executor, [collect] accumulating diagnostics and [raise]
+   aborting on the first violation. *)
+let config_of_env getenv =
+  let warnings = ref [] in
+  let warn fmt = Fmt.kstr (fun s -> warnings := s :: !warnings) fmt in
+  let mode =
+    match getenv "VSGC_SCHED" with
+    | None | Some "" | Some "cached" -> `Cached
+    | Some "rescan" -> `Rescan
+    | Some s ->
+        warn
+          "vsgc: unrecognized VSGC_SCHED=%S (accepted: cached, rescan); \
+           using cached"
+          s;
+        `Cached
+  in
+  let sanitize =
+    match getenv "VSGC_SANITIZE" with
+    | None | Some "" | Some "0" | Some "off" -> None
+    | Some "collect" -> Some `Collect
+    | Some "1" | Some "on" | Some "raise" -> Some `Raise
+    | Some s ->
+        warn
+          "vsgc: unrecognized VSGC_SANITIZE=%S (accepted: off, 0, collect, \
+           raise, on, 1); sanitizer stays off"
+          s;
+        None
+  in
+  ({ mode; sanitize }, List.rev !warnings)
 
-let mode_of_env v : (mode * merge) * string option =
-  match v with
-  | None | Some "" -> ((`Cached, `Deterministic), None)
-  | Some "cached" -> ((`Cached, `Deterministic), None)
-  | Some "rescan" -> ((`Rescan, `Deterministic), None)
-  | Some "parallel" -> ((`Parallel, `Deterministic), None)
-  | Some "parallel-racy" -> ((`Parallel, `Racy), None)
-  | Some s ->
-      ( (`Cached, `Deterministic),
-        Some
-          (Fmt.str
-             "vsgc: unrecognized VSGC_SCHED=%S (accepted: cached, rescan, \
-              parallel, parallel-racy); using cached"
-             s) )
+let current =
+  let c, warnings = config_of_env Sys.getenv_opt in
+  List.iter prerr_endline warnings;
+  ref c
 
-let sanitize_of_env v : Sanitizer.policy option * string option =
-  match v with
-  | None | Some "" | Some "0" | Some "off" -> (None, None)
-  | Some "collect" -> (Some `Collect, None)
-  | Some "1" | Some "on" | Some "raise" -> (Some `Raise, None)
-  | Some s ->
-      ( None,
-        Some
-          (Fmt.str
-             "vsgc: unrecognized VSGC_SANITIZE=%S (accepted: off, 0, collect, \
-              raise, on, 1); sanitizer stays off"
-             s) )
+let config () = !current
 
-let jobs_of_env v : int * string option =
-  match v with
-  | None | Some "" -> (1, None)
-  | Some s -> (
-      match int_of_string_opt s with
-      | Some j when j >= 1 -> (j, None)
-      | Some _ | None ->
-          ( 1,
-            Some
-              (Fmt.str
-                 "vsgc: unrecognized VSGC_JOBS=%S (want a positive integer); \
-                  using 1"
-                 s) ))
-
-let warn = function None -> () | Some msg -> prerr_endline msg
-
-(* [VSGC_SCHED=rescan] forces the pre-cache scanning scheduler — the
-   CI fingerprint gate replays the corpus under several modes and
-   diffs; [parallel] selects the deterministic-merge multicore mode
-   (same fingerprints), [parallel-racy] the partitioned engine. *)
-let default_mode, default_merge =
-  let (m, g), w = mode_of_env (Sys.getenv_opt "VSGC_SCHED") in
-  warn w;
-  (ref m, ref g)
-
-let set_default_mode m = default_mode := m
-let get_default_mode () = !default_mode
-let set_default_merge g = default_merge := g
-let get_default_merge () = !default_merge
-
-(* [VSGC_SANITIZE] attaches the effect sanitizer to every executor the
-   process creates (DESIGN.md §14): [collect] accumulates diagnostics,
-   [raise]/[on]/[1] aborts on the first violation — the replay/chaos
-   drivers map Sanitizer.Violation to a verdict, so the corpus gate
-   runs with the raising policy. *)
-let default_sanitize : Sanitizer.policy option ref =
-  let s, w = sanitize_of_env (Sys.getenv_opt "VSGC_SANITIZE") in
-  warn w;
-  ref s
-
-let set_default_sanitize s = default_sanitize := s
-let get_default_sanitize () = !default_sanitize
-
-(* [VSGC_JOBS] is the domain-pool width [`Parallel] executors use when
-   [?jobs] is omitted. 1 (the default) keeps even [`Parallel] runs on
-   the calling domain — correct, just not concurrent. *)
-let default_jobs : int ref =
-  let j, w = jobs_of_env (Sys.getenv_opt "VSGC_JOBS") in
-  warn w;
-  ref j
-
-let set_default_jobs j = default_jobs := max 1 j
-let get_default_jobs () = !default_jobs
+let with_config c f =
+  let saved = !current in
+  current := c;
+  Fun.protect ~finally:(fun () -> current := saved) f
 
 type t = {
   components : Component.packed array;
@@ -144,9 +82,7 @@ type t = {
   weights : Action.t -> float;
   metrics : Metrics.t;
   mode : mode;
-  merge : merge;  (* [`Parallel] submode; irrelevant otherwise *)
-  jobs : int;  (* domain-pool width for [`Parallel] *)
-  (* scheduling cache ([`Cached]/[`Parallel] modes) *)
+  (* scheduling cache ([`Cached] mode) *)
   outs : (int * Action.t) list array;
       (* per component: its enabled outputs in [Component.outputs]
          order, pre-tagged with the owner index *)
@@ -168,21 +104,18 @@ let default_weights (a : Action.t) =
   match a with Action.Rf_lose _ -> 0.0 | _ -> 1.0
 
 let create ?(seed = 0xC0FFEE) ?(weights = default_weights) ?(keep_trace = true)
-    ?mode ?merge ?jobs ?sanitize components =
+    ?mode ?sanitize components =
   let components = Array.of_list components in
   let n = Array.length components in
   let metrics = Metrics.create () in
-  let sanitize =
-    match sanitize with Some s -> s | None -> !default_sanitize
-  in
+  let defaults = !current in
+  let sanitize = Option.value sanitize ~default:defaults.sanitize in
   {
     components;
     rng = Rng.make seed;
     weights;
     metrics;
-    mode = (match mode with Some m -> m | None -> !default_mode);
-    merge = (match merge with Some g -> g | None -> !default_merge);
-    jobs = (match jobs with Some j -> max 1 j | None -> !default_jobs);
+    mode = Option.value mode ~default:defaults.mode;
     outs = Array.make n [];
     valid = Array.make n false;
     n_dirty = n;
@@ -200,9 +133,6 @@ let create ?(seed = 0xC0FFEE) ?(weights = default_weights) ?(keep_trace = true)
         sanitize;
   }
 
-let mode t = t.mode
-let merge t = t.merge
-let jobs t = t.jobs
 let metrics t = t.metrics
 let sanitizer t = t.sanitizer
 let rng t = t.rng
@@ -252,7 +182,7 @@ let invalidate t i =
 
 (* Drop everything. Public entry points call this because harness code
    mutates component state refs directly, invisibly to [perform]. *)
-let resync t =
+let resync (t : t) =
   if t.mode <> `Rescan then begin
     Array.fill t.valid 0 (Array.length t.valid) false;
     t.n_dirty <- Array.length t.valid;
@@ -286,69 +216,23 @@ let rescan_candidates t =
     t.components;
   !acc
 
-(* Fan out only when the refresh round is worth a pool trip: below this
-   many dirty components the sequential per-component refresh wins. *)
-let par_fanout = 4
-
-(* Refresh every stale per-component list on the domain pool, then
-   commit the bookkeeping on the master in canonical index order.
-   [Component.outputs] is a pure function of the component's own state
-   and the output slots are disjoint, so the fan-out computes exactly
-   what the sequential refresh loop would have — this is the whole
-   deterministic-merge argument: parallelism lives below the decision
-   loop, never beside it. Counter accounting matches the sequential
-   path: one miss per refreshed component, one hit per component whose
-   list was still valid. *)
-let parallel_refresh t =
-  let dirty = ref [] in
-  Array.iteri (fun i v -> if not v then dirty := i :: !dirty) t.valid;
-  let dirty = Array.of_list !dirty in
-  let k = Array.length dirty in
-  let pool = Dpool.global ~jobs:t.jobs in
-  Dpool.run pool
-    (fun j ->
-      let i = dirty.(j) in
-      t.outs.(i) <- List.map (fun a -> (i, a)) (Component.outputs t.components.(i)))
-    k;
-  Array.iter
-    (fun i ->
-      t.valid.(i) <- true;
-      if t.outs.(i) <> [] then t.n_enabled <- t.n_enabled + 1)
-    dirty;
-  t.n_dirty <- 0;
-  Metrics.note_cand_misses t.metrics k;
-  k
-
-let candidates_internal t =
+let candidates_internal (t : t) =
   match t.mode with
   | `Rescan -> rescan_candidates t
-  | `Cached | `Parallel -> (
+  | `Cached -> (
       match t.cand_cache with
       | Some l ->
           Metrics.note_cand_hits t.metrics 1;
           l
       | None ->
-          if t.mode = `Parallel && t.jobs > 1 && t.n_dirty >= par_fanout then begin
-            let refreshed = parallel_refresh t in
-            Metrics.note_cand_hits t.metrics
-              (Array.length t.components - refreshed);
-            let acc = ref [] in
-            Array.iteri
-              (fun i _ -> List.iter (fun p -> acc := p :: !acc) t.outs.(i))
-              t.components;
-            t.cand_cache <- Some !acc;
-            !acc
-          end
-          else begin
-            let acc = ref [] in
-            Array.iteri
-              (fun i _ ->
-                refresh t i;
-                List.iter (fun p -> acc := p :: !acc) t.outs.(i))
-              t.components;
-            t.cand_cache <- Some !acc;
-            !acc
-          end)
+          let acc = ref [] in
+          Array.iteri
+            (fun i _ ->
+              refresh t i;
+              List.iter (fun p -> acc := p :: !acc) t.outs.(i))
+            t.components;
+          t.cand_cache <- Some !acc;
+          !acc)
 
 let candidates t =
   resync t;
@@ -359,7 +243,7 @@ let candidates t =
    participant's state changed, so its cached outputs are invalidated
    right here — before monitors and hooks run, so the cache is already
    consistent when a monitor raises and the explorer carries on. *)
-let perform t ?owner a =
+let perform (t : t) ?owner a =
   (* Choice-point capture first: recorders must see the decision even
      when a monitor or invariant hook raises on this very step. *)
   List.iter (fun f -> f owner a) t.choice_hooks;
@@ -391,11 +275,11 @@ let perform t ?owner a =
    a step of the composition in which the environment is the owner. *)
 let inject t a = perform t a
 
-let weighted_pick_with rng weights cands =
+let weighted_pick t cands =
   let weighted =
     List.filter_map
       (fun (i, a) ->
-        let w = weights a in
+        let w = t.weights a in
         if w > 0.0 then Some (i, a, w) else None)
       cands
   in
@@ -403,7 +287,7 @@ let weighted_pick_with rng weights cands =
   | [] -> None
   | _ ->
       let total = List.fold_left (fun s (_, _, w) -> s +. w) 0.0 weighted in
-      let x = Rng.float rng *. total in
+      let x = Rng.float t.rng *. total in
       let rec go acc = function
         | [] -> assert false
         | [ (i, a, _) ] -> (i, a)
@@ -412,13 +296,11 @@ let weighted_pick_with rng weights cands =
       in
       Some (go 0.0 weighted)
 
-let weighted_pick t cands = weighted_pick_with t.rng t.weights cands
-
 (* One scheduler step against a trusted cache. The enabled-component
    count gives an O(1) no-candidates check; [weighted_pick] on an empty
    list consumed no randomness in the rescan implementation either, so
    the fast path cannot shift the RNG stream. *)
-let step_internal t =
+let step_internal (t : t) =
   if t.mode <> `Rescan && t.n_dirty = 0 && t.n_enabled = 0 then false
   else
     match weighted_pick t (candidates_internal t) with
@@ -435,173 +317,20 @@ let step t =
 
 type outcome = Quiescent of int | Step_limit
 
-(* -- The racy partitioned engine (DESIGN.md §17) ------------------------- *)
-
-(* The planned partition for this composition, probed from the
-   currently enabled actions. Work placement only: the engine re-checks
-   exact participants per action at perform time. *)
-let partition t =
-  resync t;
-  let probe = List.map snd (candidates_internal t) in
-  Partition.compute ~probe t.components
-
-(* Steps a domain takes on its group before the next barrier. *)
-let racy_quantum = 64
-
-(* The observation half of [perform], replayed on the master at the
-   barrier for every merged step: the components already moved on the
-   group's domain, so only the bookkeeping and the observers fire here,
-   in canonical merged order. *)
-let observe_merged t ~owner a =
-  List.iter (fun f -> f (Some owner) a) t.choice_hooks;
-  Metrics.record t.metrics a;
-  if t.keep_trace then begin
-    t.trace <- a :: t.trace;
-    t.trace_len <- t.trace_len + 1
-  end;
-  List.iter (fun m -> m.Monitor.on_action a) t.monitors;
-  List.iter (fun f -> f a) t.step_hooks
-
-(* One group's quantum, run on a pool domain: step the group's own
-   cached candidate lists with the group's own RNG stream, performing
-   only actions whose exact participants stay inside the group. Every
-   state ref touched belongs to the group, every value read that could
-   vary is group state ([accepts]/[emits]/weights are static), so
-   domains proceed with no synchronization until the barrier. *)
-let racy_group_run t part ~group ~rng ~budget =
-  let m = Array.length group in
-  let louts = Array.make m [] in
-  let lvalid = Array.make m false in
-  let gid = Partition.group_of part group.(0) in
-  let internal_memo : (Action.t, bool) Hashtbl.t = Hashtbl.create 64 in
-  let internal (i, a) =
-    match Hashtbl.find_opt internal_memo a with
-    | Some b -> b
-    | None ->
-        let b = Partition.internal_to part t.components ~owner:i a = Some gid in
-        Hashtbl.add internal_memo a b;
-        b
-  in
-  let refresh k =
-    if not lvalid.(k) then begin
-      let i = group.(k) in
-      louts.(k) <-
-        List.map (fun a -> (i, a)) (Component.outputs t.components.(i));
-      lvalid.(k) <- true
-    end
-  in
-  let log = ref [] in
-  let steps = ref 0 in
-  (try
-     while !steps < budget do
-       let cands = ref [] in
-       for k = m - 1 downto 0 do
-         refresh k;
-         List.iter (fun p -> cands := p :: !cands) louts.(k)
-       done;
-       let cands = List.filter internal !cands in
-       match weighted_pick_with rng t.weights cands with
-       | None -> raise Exit
-       | Some (owner, a) ->
-           Array.iteri
-             (fun k i ->
-               let c = t.components.(i) in
-               if i = owner || Component.accepts c a then begin
-                 Component.apply c a;
-                 lvalid.(k) <- false
-               end)
-             group;
-           log := (owner, a) :: !log;
-           incr steps
-     done
-   with Exit -> ());
-  List.rev !log
-
-(* Run loop of the racy engine: parallel quanta, canonical merge,
-   sequential cross-group barrier. Fully deterministic and independent
-   of [jobs] and of domain timing — each group's evolution depends only
-   on its own state and its own RNG stream, and the merge order is
-   fixed — but the trace is NOT the [`Rescan] trace: the racy mode is
-   gated by the invariant battery and the monitors, not by pinned
-   fingerprints. *)
-let run_racy ~max_steps ~stop t =
-  if t.sanitizer <> None then
-    invalid_arg
-      "Executor.run: the effect sanitizer requires deterministic merge \
-       (racy quanta bypass the per-step shadow diffs)";
-  resync t;
-  let part = partition t in
-  let groups = Partition.groups part in
-  let ngroups = Array.length groups in
-  let pool = Dpool.global ~jobs:t.jobs in
-  (* Per-group RNG streams, split off the master seed stream once at
-     partition time — keyed by group index, independent of timing. *)
-  let grngs = Array.map (fun _ -> Rng.split t.rng) groups in
-  let logs = Array.make ngroups [] in
-  (* Sequential tail/fallback: the ordinary cached loop. *)
-  let rec tail n =
-    if n >= max_steps then Step_limit
-    else if stop () then Quiescent n
-    else if step_internal t then tail (n + 1)
-    else Quiescent n
-  in
-  (* Cross-group candidates only: internal ones belong to the quanta. *)
-  let drain_barrier cap =
-    let rec go k =
-      if k >= cap then k
-      else
-        let cross =
-          List.filter
-            (fun (i, a) ->
-              Partition.internal_to part t.components ~owner:i a = None)
-            (candidates_internal t)
-        in
-        match weighted_pick t cross with
-        | None -> k
-        | Some (i, a) ->
-            perform t ~owner:i a;
-            go (k + 1)
-    in
-    go 0
-  in
-  let rec rounds n =
-    if n >= max_steps then Step_limit
-    else if stop () then Quiescent n
-    else if max_steps - n < ngroups * 2 then tail n
-    else begin
-      let budget = min racy_quantum ((max_steps - n) / ngroups) in
-      Dpool.run pool
-        (fun g ->
-          logs.(g) <- racy_group_run t part ~group:groups.(g) ~rng:grngs.(g) ~budget)
-        ngroups;
-      let merged = Array.fold_left (fun acc l -> acc + List.length l) 0 logs in
-      Array.iter (List.iter (fun (i, a) -> observe_merged t ~owner:i a)) logs;
-      (* The domains moved component state outside [perform]'s view. *)
-      resync t;
-      let barrier = drain_barrier (max_steps - n - merged) in
-      let n = n + merged + barrier in
-      if merged = 0 && barrier = 0 then Quiescent n else rounds n
-    end
-  in
-  rounds 0
-
 (* Run until quiescence or until [stop] holds (checked between steps).
    One resync at entry; inside the loop all state changes flow through
    [perform], so the incremental cache is trusted. *)
 let run ?(max_steps = 200_000) ?(stop = fun () -> false) t =
-  if t.mode = `Parallel && t.merge = `Racy then run_racy ~max_steps ~stop t
-  else begin
-    resync t;
-    let rec go n =
-      if n >= max_steps then Step_limit
-      else if stop () then Quiescent n
-      else if step_internal t then go (n + 1)
-      else Quiescent n
-    in
-    go 0
-  end
+  resync t;
+  let rec go n =
+    if n >= max_steps then Step_limit
+    else if stop () then Quiescent n
+    else if step_internal t then go (n + 1)
+    else Quiescent n
+  in
+  go 0
 
-let is_quiescent t =
+let is_quiescent (t : t) =
   resync t;
   if t.mode <> `Rescan && t.n_dirty = 0 && t.n_enabled = 0 then true
   else

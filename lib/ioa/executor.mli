@@ -12,74 +12,35 @@ open Vsgc_types
 
 type t
 
-type mode = [ `Cached | `Rescan | `Parallel ]
+type mode = [ `Cached | `Rescan ]
 (** Scheduling implementation. [`Cached] (the default) keeps each
     component's enabled-output list and invalidates it only when the
     component participates in a step; [`Rescan] recomputes every list
     on every scheduling decision — the pre-cache implementation, kept
-    as the behavioural reference. [`Parallel] is the multicore mode
-    (DESIGN.md §17): with the default [`Deterministic] merge it is the
-    cached scheduler with the per-step candidate refresh fanned across
-    the domain pool — parallelism below the decision loop — and stays
-    bit-identical to [`Rescan] in RNG stream, trace and fingerprint;
-    CI replays the schedule corpus under all of these and diffs the
-    fingerprints. *)
+    as the behavioural reference. The two are bit-identical in RNG
+    stream, trace and fingerprint; CI replays the schedule corpus
+    under both and diffs the fingerprints. *)
 
-type merge = [ `Deterministic | `Racy ]
-(** [`Parallel] submode. [`Deterministic] (default): sequential
-    decision loop, parallel candidate refresh, fingerprints identical
-    to [`Rescan]. [`Racy]: the footprint-partitioned engine — component
-    groups step concurrently for bounded quanta with per-group RNG
-    streams, per-domain step logs are merged in canonical order at a
-    sequential barrier where cross-group actions run. Reproducible and
-    jobs-independent (group evolution depends only on group state and
-    the group's keyed stream), but the trace is a different — still
-    valid — execution, so racy runs are gated by the invariant battery
-    and the monitors, not by pinned fingerprints. Requires pure,
-    domain-safe [weights]; incompatible with the effect sanitizer
-    ({!run} raises [Invalid_argument] if one is attached). *)
+(** {1 Configuration} *)
 
-(** {1 Environment knobs}
+type config = { mode : mode; sanitize : Sanitizer.policy option }
+(** What {!create} uses when [?mode] / [?sanitize] are omitted. *)
 
-    Each parser returns the value to use plus a warning to print when
-    the input was not recognized — unknown values fail loudly (one
-    stderr line naming the accepted values) and fall back to the
-    default rather than being silently coerced. *)
+val config_of_env : (string -> string option) -> config * string list
+(** Read [VSGC_SCHED] ([cached], [rescan]; unset or empty means
+    [cached]) and [VSGC_SANITIZE] ([off]/[0]/empty, [collect],
+    [raise]/[on]/[1]) through the given lookup. An unrecognized value
+    keeps that field's default and adds one warning naming the
+    accepted values — nothing is silently coerced. *)
 
-val mode_of_env : string option -> (mode * merge) * string option
-(** [VSGC_SCHED]: accepted values [cached], [rescan], [parallel],
-    [parallel-racy]; unset/empty means the default ([`Cached]). *)
+val config : unit -> config
+(** The current defaults: the process environment, parsed once at
+    startup (its warnings go to stderr then), unless an enclosing
+    {!with_config} installed another record. *)
 
-val sanitize_of_env : string option -> Sanitizer.policy option * string option
-(** [VSGC_SANITIZE]: accepted values [off]/[0]/empty (off), [collect],
-    [raise]/[on]/[1]. Unknown values warn and leave the sanitizer off. *)
-
-val jobs_of_env : string option -> int * string option
-(** [VSGC_JOBS]: a positive integer; unset/empty means 1. *)
-
-val set_default_mode : mode -> unit
-(** Mode used by {!create} when [?mode] is omitted. Initialized from
-    [VSGC_SCHED] via {!mode_of_env}. *)
-
-val get_default_mode : unit -> mode
-
-val set_default_merge : merge -> unit
-(** Merge submode used by {!create} when [?merge] is omitted; also
-    initialized from [VSGC_SCHED] ([parallel-racy] selects [`Racy]). *)
-
-val get_default_merge : unit -> merge
-
-val set_default_sanitize : Sanitizer.policy option -> unit
-(** Sanitizer policy used by {!create} when [?sanitize] is omitted.
-    Initialized from [VSGC_SANITIZE] via {!sanitize_of_env}. *)
-
-val get_default_sanitize : unit -> Sanitizer.policy option
-
-val set_default_jobs : int -> unit
-(** Domain-pool width used by {!create} when [?jobs] is omitted
-    (clamped to at least 1). Initialized from [VSGC_JOBS]. *)
-
-val get_default_jobs : unit -> int
+val with_config : config -> (unit -> 'a) -> 'a
+(** [with_config c f] runs [f] with [c] as the defaults and restores
+    the previous ones on exit, even when [f] raises. *)
 
 val default_weights : Action.t -> float
 (** Weight 1.0 for everything except the adversary move [Rf_lose]
@@ -90,21 +51,13 @@ val create :
   ?weights:(Action.t -> float) ->
   ?keep_trace:bool ->
   ?mode:mode ->
-  ?merge:merge ->
-  ?jobs:int ->
   ?sanitize:Sanitizer.policy option ->
   Component.packed list ->
   t
-(** [sanitize] attaches the effect sanitizer (default: the process-wide
-    {!get_default_sanitize}; pass [Some None] to force it off). A
-    sanitized run is fingerprint-identical to an unsanitized one.
-    [jobs] is the domain-pool width [`Parallel] runs use (default: the
-    process-wide {!get_default_jobs}); at 1, even [`Parallel] stays on
-    the calling domain. *)
-
-val mode : t -> mode
-val merge : t -> merge
-val jobs : t -> int
+(** [mode] and [sanitize] default to the fields of {!config}.
+    [sanitize] attaches the effect sanitizer (pass [Some None] to force
+    it off). A sanitized run is fingerprint-identical to an
+    unsanitized one. *)
 
 val metrics : t -> Metrics.t
 val rng : t -> Rng.t
@@ -146,12 +99,6 @@ val independence : t -> Action.t -> Action.t -> bool
     commute: performing them in either order reaches the same state,
     and neither enables or disables the other. *)
 
-val partition : t -> Partition.t
-(** The planned multicore partition of this composition, probed from
-    the currently enabled actions — what the racy engine would use for
-    work placement, and what the [vet domains] pass audits against the
-    declared footprints. *)
-
 val candidates : t -> (int * Action.t) list
 (** All enabled locally-controlled actions, tagged with owner index.
     Safe against out-of-band state mutation: harness code that writes
@@ -167,23 +114,19 @@ val inject : t -> Action.t -> unit
 
 val step : t -> bool
 (** One scheduler step; [false] when quiescent (no enabled action has
-    positive weight). Single-stepping is always sequential, whatever
-    the mode. *)
+    positive weight). *)
 
 type outcome = Quiescent of int | Step_limit
 
 val run : ?max_steps:int -> ?stop:(unit -> bool) -> t -> outcome
-(** Run until quiescence, [stop], or the step budget. Under
-    [`Parallel]+[`Racy] this is the partitioned engine: [stop] is
-    checked at barriers only, and the step count includes every merged
-    group step. Raises [Invalid_argument] if a racy run has a
-    sanitizer attached. *)
+(** Run until quiescence, [stop] (checked between steps), or the step
+    budget. *)
 
 val is_quiescent : t -> bool
 
 val run_filtered : ?max_steps:int -> t -> allow:(Action.t -> bool) -> int
-(** Run restricted to actions satisfying [allow]; returns steps taken.
-    Always sequential (the round-synchronous runner's entry point). *)
+(** Run restricted to actions satisfying [allow]; returns steps taken
+    (the round-synchronous runner's entry point). *)
 
 val finish : t -> unit
 (** Discharge residual monitor obligations ([at_end]); raises

@@ -2,30 +2,23 @@
    kind, and communication rounds (filled in by Sync_runner).
 
    These counters back the benchmark tables (DESIGN.md §6): sync-message
-   overhead, forwarded copies, rounds-to-view.
-
-   Domain safety (DESIGN.md §17): the scalar counters are [Atomic.t],
-   so any domain may bump them and a reader on another domain sees a
-   well-defined value. The by-kind tables are NOT synchronized — they
-   are written only by [record], which the parallel executor calls
-   exclusively on the master domain (per-domain step logs are merged at
-   the barrier and recorded there, in canonical order). *)
+   overhead, forwarded copies, rounds-to-view. *)
 
 open Vsgc_types
 
 type t = {
-  steps : int Atomic.t;
-  rounds : int Atomic.t;
-  cand_hits : int Atomic.t;
+  mutable steps : int;
+  mutable rounds : int;
+  mutable cand_hits : int;
       (* scheduling decisions served from a cached candidate list *)
-  cand_misses : int Atomic.t;
+  mutable cand_misses : int;
       (* per-component enabled-output rescans the cache could not avoid *)
-  san_steps : int Atomic.t;  (* steps performed under the effect sanitizer *)
-  san_diffs : int Atomic.t;
+  mutable san_steps : int;  (* steps performed under the effect sanitizer *)
+  mutable san_diffs : int;
       (* per-participant shadow-state diffs the sanitizer computed *)
-  san_races : int Atomic.t;
+  mutable san_races : int;
       (* declared-independent pairs replayed in both orders *)
-  san_violations : int Atomic.t;
+  mutable san_violations : int;
       (* footprint violations reported (deduplicated) *)
   by_category : (Action.category, int) Hashtbl.t;
   sent_by_kind : (Msg.Wire.kind, int) Hashtbl.t;
@@ -36,14 +29,14 @@ type t = {
 
 let create () =
   {
-    steps = Atomic.make 0;
-    rounds = Atomic.make 0;
-    cand_hits = Atomic.make 0;
-    cand_misses = Atomic.make 0;
-    san_steps = Atomic.make 0;
-    san_diffs = Atomic.make 0;
-    san_races = Atomic.make 0;
-    san_violations = Atomic.make 0;
+    steps = 0;
+    rounds = 0;
+    cand_hits = 0;
+    cand_misses = 0;
+    san_steps = 0;
+    san_diffs = 0;
+    san_races = 0;
+    san_violations = 0;
     by_category = Hashtbl.create 32;
     sent_by_kind = Hashtbl.create 8;
     sent_bytes_by_kind = Hashtbl.create 8;
@@ -55,7 +48,7 @@ let bump tbl k n =
   Hashtbl.replace tbl k (cur + n)
 
 let record t (a : Action.t) =
-  Atomic.incr t.steps;
+  t.steps <- t.steps + 1;
   bump t.by_category (Action.category a) 1;
   match a with
   | Action.Rf_send (_, set, m) ->
@@ -65,21 +58,21 @@ let record t (a : Action.t) =
   | Action.Rf_deliver (_, _, m) -> bump t.delivered_by_kind (Msg.Wire.kind m) 1
   | _ -> ()
 
-let steps t = Atomic.get t.steps
-let rounds t = Atomic.get t.rounds
-let add_round t = Atomic.incr t.rounds
-let note_cand_hits t n = ignore (Atomic.fetch_and_add t.cand_hits n)
-let note_cand_misses t n = ignore (Atomic.fetch_and_add t.cand_misses n)
-let cand_hits t = Atomic.get t.cand_hits
-let cand_misses t = Atomic.get t.cand_misses
-let note_san_steps t n = ignore (Atomic.fetch_and_add t.san_steps n)
-let note_san_diffs t n = ignore (Atomic.fetch_and_add t.san_diffs n)
-let note_san_races t n = ignore (Atomic.fetch_and_add t.san_races n)
-let note_san_violations t n = ignore (Atomic.fetch_and_add t.san_violations n)
-let san_steps t = Atomic.get t.san_steps
-let san_diffs t = Atomic.get t.san_diffs
-let san_races t = Atomic.get t.san_races
-let san_violations t = Atomic.get t.san_violations
+let steps t = t.steps
+let rounds t = t.rounds
+let add_round t = t.rounds <- t.rounds + 1
+let note_cand_hits t n = t.cand_hits <- t.cand_hits + n
+let note_cand_misses t n = t.cand_misses <- t.cand_misses + n
+let cand_hits t = t.cand_hits
+let cand_misses t = t.cand_misses
+let note_san_steps t n = t.san_steps <- t.san_steps + n
+let note_san_diffs t n = t.san_diffs <- t.san_diffs + n
+let note_san_races t n = t.san_races <- t.san_races + n
+let note_san_violations t n = t.san_violations <- t.san_violations + n
+let san_steps t = t.san_steps
+let san_diffs t = t.san_diffs
+let san_races t = t.san_races
+let san_violations t = t.san_violations
 
 let category_count t c =
   match Hashtbl.find_opt t.by_category c with Some n -> n | None -> 0
@@ -94,7 +87,7 @@ let delivered_count t k =
   match Hashtbl.find_opt t.delivered_by_kind k with Some n -> n | None -> 0
 
 let pp ppf t =
-  Fmt.pf ppf "steps=%d rounds=%d" (Atomic.get t.steps) (Atomic.get t.rounds);
+  Fmt.pf ppf "steps=%d rounds=%d" t.steps t.rounds;
   Hashtbl.iter
     (fun k n -> Fmt.pf ppf " sent[%s]=%d" (Msg.Wire.kind_to_string k) n)
     t.sent_by_kind

@@ -1,12 +1,7 @@
 (** Execution metrics backing the benchmark tables: action counts by
     category, wire-message copies by kind (an [Rf_send] to k targets
     counts k), and communication rounds (incremented by the
-    round-synchronous runner).
-
-    Scalar counters are domain-safe ([Atomic]); {!record} — which also
-    feeds the by-kind tables — must stay on the master domain, which
-    the parallel executor guarantees by recording merged step logs at
-    the barrier (DESIGN.md §17). *)
+    round-synchronous runner). *)
 
 open Vsgc_types
 

@@ -41,7 +41,3 @@ let shuffle t l =
     a.(j) <- tmp
   done;
   Array.to_list a
-
-let split t =
-  (* An independent stream derived from this one. *)
-  { state = next_int64 t }

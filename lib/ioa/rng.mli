@@ -25,6 +25,3 @@ val pick : t -> 'a list -> 'a
 
 val shuffle : t -> 'a list -> 'a list
 (** Fisher-Yates permutation. *)
-
-val split : t -> t
-(** An independent stream derived from (and advancing) this one. *)

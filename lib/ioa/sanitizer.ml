@@ -2,8 +2,8 @@
    footprints (DESIGN.md §14).
 
    Declared per-action read/write footprints drive the explorer's
-   sleep-set pruning and the planned multicore partitioning; a lying
-   footprint silently prunes real interleavings or races real state.
+   sleep-set pruning; a lying footprint silently prunes real
+   interleavings.
    This module is the dynamic half of the honesty certificate: a
    shadow-state mode that, around every performed step,
 

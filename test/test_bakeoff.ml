@@ -73,9 +73,7 @@ let pinned_fingerprint =
   "p0=83d633d26a9a472b:129;p1=21cdf954fc42dab1:94;p2=f269d95d260cfe41:117;s0=89fc6d325558efcc:58;s1=f86666a8574af513:39|hub:153/0/0"
 
 let in_mode mode body () =
-  let saved = Executor.get_default_mode () in
-  Executor.set_default_mode mode;
-  Fun.protect ~finally:(fun () -> Executor.set_default_mode saved) body
+  Executor.with_config { (Executor.config ()) with mode } body
 
 let test_determinism () =
   let o = F.Inject.run bakeoff_schedule in

@@ -1,5 +1,6 @@
 (* Unit tests for the I/O-automaton executor: composition semantics,
-   weights, injection, quiescence, filtered runs, monitors and hooks. *)
+   weights, injection, quiescence, filtered runs, monitors and hooks,
+   and the environment-derived defaults. *)
 
 open Vsgc_types
 module Executor = Vsgc_ioa.Executor
@@ -114,6 +115,73 @@ let test_stop_condition () =
   | Executor.Step_limit -> Alcotest.fail "stop ignored");
   Alcotest.(check int) "stopped at two steps" 2 (Executor.trace_length exec)
 
+(* -- Configuration ---------------------------------------------------- *)
+
+let parse sched sanitize =
+  Executor.config_of_env (function
+    | "VSGC_SCHED" -> sched
+    | "VSGC_SANITIZE" -> sanitize
+    | _ -> None)
+
+let contains s sub =
+  let n = String.length s and m = String.length sub in
+  let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
+  go 0
+
+let test_env_sched () =
+  let accepted v mode =
+    let c, w = parse v None in
+    Alcotest.(check bool) (Fmt.str "%a accepted" Fmt.(Dump.option string) v) true (w = []);
+    Alcotest.(check bool) "mode" true (c.Executor.mode = mode)
+  in
+  accepted None `Cached;
+  accepted (Some "") `Cached;
+  accepted (Some "cached") `Cached;
+  accepted (Some "rescan") `Rescan;
+  (* parallel and parallel-racy are not modes: they warn like any unknown value *)
+  List.iter
+    (fun v ->
+      let c, w = parse (Some v) None in
+      Alcotest.(check bool) (v ^ " falls back to cached") true (c.Executor.mode = `Cached);
+      match w with
+      | [ msg ] ->
+          Alcotest.(check bool) "warning names the accepted values" true
+            (contains msg "rescan")
+      | _ -> Alcotest.failf "unknown VSGC_SCHED=%s must warn once" v)
+    [ "bogus"; "parallel"; "parallel-racy" ]
+
+let test_env_sanitize () =
+  let accepted v policy =
+    let c, w = parse None v in
+    Alcotest.(check bool) "accepted silently" true (w = []);
+    Alcotest.(check bool) "policy" true (c.Executor.sanitize = policy)
+  in
+  accepted None None;
+  accepted (Some "") None;
+  accepted (Some "0") None;
+  accepted (Some "off") None;
+  accepted (Some "collect") (Some `Collect);
+  accepted (Some "raise") (Some `Raise);
+  accepted (Some "on") (Some `Raise);
+  accepted (Some "1") (Some `Raise);
+  (* The historical trap: an unrecognized value used to silently turn
+     the RAISING sanitizer on. Now it warns and stays off. *)
+  let c, w = parse None (Some "yes") in
+  Alcotest.(check bool) "unknown stays off" true (c.Executor.sanitize = None);
+  Alcotest.(check int) "unknown warns" 1 (List.length w)
+
+let test_with_config_scoped () =
+  let outer = Executor.config () in
+  let inner = { Executor.mode = `Rescan; sanitize = Some `Collect } in
+  (try
+     Executor.with_config inner (fun () ->
+         let exec = Executor.create ~seed:1 [] in
+         Alcotest.(check bool) "inner sanitizer attached" true
+           (Executor.sanitizer exec <> None);
+         failwith "escape")
+   with Failure _ -> ());
+  Alcotest.(check bool) "restored after a raise" true (Executor.config () = outer)
+
 let suite =
   [
     Alcotest.test_case "output reaches acceptors" `Quick test_output_reaches_acceptors;
@@ -125,4 +193,7 @@ let suite =
     Alcotest.test_case "monitor violations propagate" `Quick test_monitor_violation_propagates;
     Alcotest.test_case "finish reports residuals" `Quick test_finish_reports_residuals;
     Alcotest.test_case "stop condition" `Quick test_stop_condition;
+    Alcotest.test_case "config: VSGC_SCHED parses loudly" `Quick test_env_sched;
+    Alcotest.test_case "config: VSGC_SANITIZE parses loudly" `Quick test_env_sanitize;
+    Alcotest.test_case "config: with_config is scoped" `Quick test_with_config_scoped;
   ]

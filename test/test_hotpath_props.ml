@@ -28,10 +28,7 @@ module Loopback = Vsgc_net.Loopback
 module Frame = Vsgc_wire.Frame
 module Packet = Vsgc_wire.Packet
 
-let with_mode m f =
-  let saved = Executor.get_default_mode () in
-  Executor.set_default_mode m;
-  Fun.protect ~finally:(fun () -> Executor.set_default_mode saved) f
+let with_mode mode f = Executor.with_config { (Executor.config ()) with mode } f
 
 (* -- Random driving scripts --------------------------------------------- *)
 

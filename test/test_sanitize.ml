@@ -17,22 +17,14 @@ module Diag = Vsgc_ioa.Diag
 (* Scoped overrides of the process-wide executor defaults (the same
    knobs VSGC_SANITIZE / VSGC_SCHED set), restored on exit so test
    order cannot leak a mode into unrelated suites. *)
-let with_sanitize policy f =
-  let saved = Executor.get_default_sanitize () in
-  Executor.set_default_sanitize policy;
-  Fun.protect ~finally:(fun () -> Executor.set_default_sanitize saved) f
+let with_sanitize sanitize f =
+  Executor.with_config { (Executor.config ()) with sanitize } f
 
-let with_mode mode f =
-  let saved = Executor.get_default_mode () in
-  Executor.set_default_mode mode;
-  Fun.protect ~finally:(fun () -> Executor.set_default_mode saved) f
+let with_mode mode f = Executor.with_config { (Executor.config ()) with mode } f
 
 let in_modes f = List.iter (fun m -> with_mode m (fun () -> f m)) [ `Cached; `Rescan ]
 
-let mode_name = function
-  | `Cached -> "cached"
-  | `Rescan -> "rescan"
-  | `Parallel -> "parallel"
+let mode_name = function `Cached -> "cached" | `Rescan -> "rescan"
 
 (* -- The three runner shapes --------------------------------------------- *)
 
