@@ -2,12 +2,14 @@
 # Tier-1 gate: build, full test suite, a depth-bounded explorer smoke
 # (the seeded no-sync-wait mutation must be found, shrunk, saved, and
 # reproduced deterministically from the saved file), static vet, the
-# fault corpus replayed against pinned fingerprints, a seeded chaos
-# sweep (crash faults and state corruption), the KV service SLO gate
-# (chaos kv-slo, both stable-delivery modes), four socket smokes —
-# plain agreement, SIGKILL-and-rejoin, the replicated KV service under
-# a mid-load server kill, and the symmetric Skeen arm under the same
-# kill-and-rejoin script — and the end-to-end benchmark smoke.
+# fault corpus replayed through the chaos CLI against pinned
+# fingerprints (the test suite replays it under both scheduler modes),
+# a seeded chaos sweep (crash faults and state corruption), the KV
+# service SLO gate (chaos kv-slo, both stable-delivery modes), four
+# socket smokes — plain agreement, SIGKILL-and-rejoin, the replicated
+# KV service under a mid-load server kill, and the symmetric Skeen arm
+# under the same kill-and-rejoin script — and the end-to-end benchmark
+# smoke.
 # Everything carries a hard timeout.
 #
 #   ci.sh [-smoke]   the fast gate above (default)
@@ -108,15 +110,10 @@ test "$(grep -c '^DELIVER ' "$smokedir/c0.events")" = 5 \
 # chaos.exe CLI the schedules were pinned with).
 dune exec -- devtools/chaos.exe replay -quiet test/corpus/*.fault
 
-# Scheduler-cache fingerprint gate: the incremental scheduler must be
-# byte-identical to the pre-cache rescan implementation. Replay the
-# whole corpus — the pinned .fault fingerprints and every .sched
-# expectation — under VSGC_SCHED=rescan; any divergence between the
-# cached replays above and these fails here.
-VSGC_SCHED=rescan dune exec -- devtools/chaos.exe replay -quiet test/corpus/*.fault
-for s in test/corpus/*.sched; do
-  VSGC_SCHED=rescan dune exec -- devtools/explore.exe replay "$s" -quiet
-done
+# Scheduler-cache fingerprint gate: `dune runtest` above replays every
+# pinned .fault and .sched file under both scheduler modes, so a
+# cached/rescan divergence fails there (test/test_corpus.ml, the
+# [rescan] cases).
 
 # Sanitized replay gate: `dune runtest` above replays every pinned
 # .sched and .fault file under the raising effect sanitizer in both

@@ -240,7 +240,8 @@ let server_stack ?(n_clients = 4) ?(n_servers = 2) () : Diag.t list =
    crash/recovery. The KV engine itself (store, service, load) runs
    outside the executor at the node edge, so the component stack is
    exactly this pair. The universe adds the symmetric arm's
-   [Sym_deliver] reports, which only that arm's replica emits. *)
+   [Sym_deliver] reports, which only that arm's replica emits: the
+   shared total-order shell declares them only over a reporting core. *)
 let kv_stack (type r) ?(n = 3)
     (module R : Replica.S with type t = r)
     (component : Proc.t -> Component.packed * r ref) : Diag.t list =

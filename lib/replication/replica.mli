@@ -100,7 +100,7 @@ val component :
 (** [strict] defaults to [true]; with [false], codec drift is counted
     in {!unknowns} instead of raised. [batch_orders] selects the
     coalesced announcement path
-    ({!Vsgc_totalorder.Tord_client.t.batch_orders}). *)
+    ({!Vsgc_totalorder.Tord_client.initial}). *)
 
 (** {1 The symmetric-arm instance} *)
 

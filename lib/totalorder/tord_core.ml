@@ -31,8 +31,7 @@ type t = {
   recv_count : int Proc.Map.t;  (* data messages delivered per sender, this view *)
   pending : entry list;  (* delivered data not yet totally ordered, oldest first *)
   order_queue : (Proc.t * int) list;  (* announcements not yet matched, oldest first *)
-  total : entry list;  (* the totally ordered prefix, newest first *)
-  count : int;  (* length of [total], maintained incrementally *)
+  log : entry Tord_log.t;  (* the totally ordered prefix *)
 }
 
 let create me =
@@ -43,26 +42,12 @@ let create me =
     recv_count = Proc.Map.empty;
     pending = [];
     order_queue = [];
-    total = [];
-    count = 0;
+    log = Tord_log.empty;
   }
 
 let is_sequencer t = Proc.equal t.me t.sequencer
 let view t = t.view
-let total_order t = List.rev t.total
-let total_count t = t.count
-
-(* The ordered suffix starting at global position [k] (0-based), oldest
-   first — the cursor read the KV service layers its incremental store
-   on. A cursor beyond the log (a reborn core) reads as empty. *)
-let entries_from t k =
-  if k >= t.count then []
-  else
-    let rec take n acc = function
-      | e :: rest when n > 0 -> take (n - 1) (e :: acc) rest
-      | _ -> acc
-    in
-    take (t.count - k) [] t.total
+let log t = t.log
 
 (* -- Wire encoding (within opaque GCS payloads) -------------------------- *)
 
@@ -130,11 +115,7 @@ let rec drain t delivered =
       match take_pending t sender index with
       | Some (e, pending) ->
           drain
-            { t with
-              pending;
-              order_queue = rest;
-              total = e :: t.total;
-              count = t.count + 1 }
+            { t with pending; order_queue = rest; log = Tord_log.add e t.log }
             (e :: delivered)
       | None -> (t, List.rev delivered))
   | [] -> (t, List.rev delivered)
@@ -192,8 +173,7 @@ let on_view t ~view ~transitional:_ =
       recv_count = Proc.Map.empty;
       pending = [];
       order_queue = [];
-      total = List.rev_append flushed t.total;
-      count = t.count + List.length flushed;
+      log = Tord_log.add_all flushed t.log;
     }
   in
   (t, flushed)

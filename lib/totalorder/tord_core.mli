@@ -22,17 +22,9 @@ val is_sequencer : t -> bool
 val view : t -> View.t
 (** The view this instance currently orders within. *)
 
-val total_order : t -> entry list
-(** The totally ordered prefix, oldest first — identical at every
-    member that has processed the same GCS events. *)
-
-val total_count : t -> int
-(** Length of the totally ordered prefix (O(1)). *)
-
-val entries_from : t -> int -> entry list
-(** [entries_from t k]: the ordered suffix starting at global position
-    [k] (0-based), oldest first — the cursor read the KV service layers
-    its incremental store on. Beyond-the-log cursors read as empty. *)
+val log : t -> entry Tord_log.t
+(** The totally ordered prefix — identical at every member that has
+    processed the same GCS events. *)
 
 (** {1 Wire encoding (inside opaque GCS payloads)} *)
 

@@ -1,5 +1,7 @@
-(* The symmetric-total-order application component: the same
-   blocking-client shell as {!Tord_client}, over {!Tord_symmetric}.
+(* The symmetric-total-order application component: the blocking-client
+   shell ({!Tord_shell}, Figure 12) over the symmetric core
+   {!Tord_symmetric}. This module supplies only its send discipline and
+   its delivery reports.
 
    Timestamps are assigned at the moment a message is actually sent
    (the output and its effect recompute the same deterministic stamp
@@ -15,156 +17,62 @@
    implementation deliveries and check them against the specification's
    deliverability condition. *)
 
-open Vsgc_types
+module Core = struct
+  type t = {
+    order : Tord_symmetric.t;
+    to_send : string list;  (* raw payloads, oldest first *)
+    flush_due : string option;  (* flushed-chunk digest owed as a Flush *)
+  }
 
-type block_status = Unblocked | Requested | Blocked
+  type entry = Tord_symmetric.entry
 
-type t = {
-  core : Tord_symmetric.t;
-  me : Proc.t;
-  block_status : block_status;
-  to_send : string list;  (* raw payloads, oldest first *)
-  flush_due : string option;  (* flushed-chunk digest owed as a Flush *)
-  reports : (Proc.t * int * string) list;  (* Sym_deliver queue, oldest first *)
-  views : (View.t * Proc.Set.t) list;  (* newest first *)
-  crashed : bool;
-}
+  let name = "tord_sym"
+  let log t = Tord_symmetric.log t.order
+  let sender (e : entry) = e.sender
+  let payload (e : entry) = e.payload
+  let report = Some (fun (e : entry) -> (e.sender, e.ts, e.payload))
+  let push t payload = { t with to_send = t.to_send @ [ payload ] }
+
+  (* The next wire payload, recomputed identically by outputs and apply:
+     an owed flush supersedes data, data supersedes the ack. *)
+  let next_send t =
+    match t.flush_due with
+    | Some digest -> Some (snd (Tord_symmetric.flush_stamp t.order ~digest))
+    | None -> (
+        match t.to_send with
+        | payload :: _ -> Some (snd (Tord_symmetric.stamp t.order payload))
+        | [] ->
+            if Tord_symmetric.ack_due t.order then
+              Some (Tord_symmetric.ack_payload t.order)
+            else None)
+
+  let on_sent t _ =
+    match t.flush_due with
+    | Some digest ->
+        let order, _ = Tord_symmetric.flush_stamp t.order ~digest in
+        { t with order; flush_due = None }
+    | None -> (
+        match t.to_send with
+        | payload :: rest ->
+            let order, _ = Tord_symmetric.stamp t.order payload in
+            { t with order; to_send = rest }
+        | [] ->
+            if Tord_symmetric.ack_due t.order then
+              { t with order = Tord_symmetric.ack_sent t.order }
+            else t)
+
+  let on_deliver t ~sender ~payload =
+    let order, newly = Tord_symmetric.on_deliver t.order ~sender ~payload in
+    ({ t with order }, newly)
+
+  let on_view t ~view ~transitional =
+    let order, flushed = Tord_symmetric.on_view t.order ~view ~transitional in
+    ({ t with order; flush_due = Some (Tord_symmetric.flush_digest flushed) }, flushed)
+end
+
+include Tord_shell.Make (Core)
 
 let initial me =
-  {
-    core = Tord_symmetric.create me;
-    me;
-    block_status = Unblocked;
-    to_send = [];
-    flush_due = None;
-    reports = [];
-    views = [];
-    crashed = false;
-  }
+  make me { order = Tord_symmetric.create me; to_send = []; flush_due = None }
 
-let push (r : t ref) payload = r := { !r with to_send = !r.to_send @ [ payload ] }
-
-let total_order t =
-  List.map
-    (fun (e : Tord_symmetric.entry) -> (e.Tord_symmetric.sender, e.Tord_symmetric.payload))
-    (Tord_symmetric.total_order t.core)
-
-let views t = List.rev t.views
-let last_view t = match t.views with [] -> None | v :: _ -> Some v
-let crashed t = t.crashed
-let log_length t = Tord_symmetric.total_count t.core
-
-let ordered_from t k =
-  List.map
-    (fun (e : Tord_symmetric.entry) -> e.Tord_symmetric.payload)
-    (Tord_symmetric.entries_from t.core k)
-
-let report_of (e : Tord_symmetric.entry) =
-  (e.Tord_symmetric.sender, e.Tord_symmetric.ts, e.Tord_symmetric.payload)
-
-(* The next wire payload, recomputed identically by outputs and apply:
-   an owed flush supersedes data, data supersedes the ack. *)
-let next_send t =
-  match t.flush_due with
-  | Some digest -> Some (snd (Tord_symmetric.flush_stamp t.core ~digest))
-  | None -> (
-      match t.to_send with
-      | payload :: _ -> Some (snd (Tord_symmetric.stamp t.core payload))
-      | [] ->
-          if Tord_symmetric.ack_due t.core then Some (Tord_symmetric.ack_payload t.core)
-          else None)
-
-let outputs t =
-  if t.crashed then []
-  else
-    let acc = if t.block_status = Requested then [ Action.Block_ok t.me ] else [] in
-    let acc =
-      match t.reports with
-      | (sender, ts, payload) :: _ -> Action.Sym_deliver (t.me, sender, ts, payload) :: acc
-      | [] -> acc
-    in
-    match next_send t with
-    | Some s when t.block_status <> Blocked ->
-        Action.App_send (t.me, Msg.App_msg.make s) :: acc
-    | _ -> acc
-
-let accepts me (a : Action.t) =
-  match a with
-  | Action.App_deliver (p, _, _) | Action.App_view (p, _, _) | Action.Block p
-  | Action.Crash p | Action.Recover p -> Proc.equal p me
-  | _ -> false
-
-let apply t (a : Action.t) =
-  if t.crashed then
-    match a with Action.Recover p when Proc.equal p t.me -> initial t.me | _ -> t
-  else
-    match a with
-    | Action.App_send (_, _) -> (
-        match t.flush_due with
-        | Some digest ->
-            let core, _ = Tord_symmetric.flush_stamp t.core ~digest in
-            { t with core; flush_due = None }
-        | None -> (
-            match t.to_send with
-            | payload :: rest ->
-                let core, _ = Tord_symmetric.stamp t.core payload in
-                { t with core; to_send = rest }
-            | [] ->
-                if Tord_symmetric.ack_due t.core then
-                  { t with core = Tord_symmetric.ack_sent t.core }
-                else t))
-    | Action.Sym_deliver _ -> (
-        match t.reports with [] -> t | _ :: rest -> { t with reports = rest })
-    | Action.Block_ok _ -> { t with block_status = Blocked }
-    | Action.Block _ -> { t with block_status = Requested }
-    | Action.App_deliver (_, q, m) ->
-        let core, newly =
-          Tord_symmetric.on_deliver t.core ~sender:q ~payload:(Msg.App_msg.payload m)
-        in
-        { t with core; reports = t.reports @ List.map report_of newly }
-    | Action.App_view (_, v, tset) ->
-        let core, flushed = Tord_symmetric.on_view t.core ~view:v ~transitional:tset in
-        { t with
-          core;
-          flush_due = Some (Tord_symmetric.flush_digest flushed);
-          reports = t.reports @ List.map report_of flushed;
-          views = (v, tset) :: t.views;
-          block_status = Unblocked }
-    | Action.Crash _ -> { t with crashed = true }
-    | _ -> t
-
-(* Client-role component: everything is co-located at me. *)
-let footprint me (a : Action.t) =
-  let open Vsgc_ioa.Footprint in
-  match a with
-  | Action.App_send (p, _) | Action.Block_ok p | Action.App_deliver (p, _, _)
-  | Action.App_view (p, _, _) | Action.Block p | Action.Crash p | Action.Recover p
-  | Action.Sym_deliver (p, _, _, _)
-    when Proc.equal p me -> rw [ Proc_state me ]
-  | _ -> empty
-
-let emits me (a : Action.t) =
-  match a with
-  | Action.App_send (p, _) | Action.Block_ok p | Action.Sym_deliver (p, _, _, _) ->
-      Proc.equal p me
-  | _ -> false
-
-let observe me (st : t) =
-  [ (Vsgc_ioa.Footprint.Proc_state me, Vsgc_ioa.Component.digest st) ]
-
-let def me : t Vsgc_ioa.Component.def =
-  {
-    name = Fmt.str "tord_sym_%a" Proc.pp me;
-    init = initial me;
-    accepts = accepts me;
-    outputs;
-    apply;
-    footprint = footprint me;
-    emits = emits me;
-    observe = observe me;
-  }
-
-let component me =
-  let d = def me in
-  let r = ref d.Vsgc_ioa.Component.init in
-  (Vsgc_ioa.Component.pack_with_ref d r, r)
+let component me = component_of (initial me)

@@ -43,8 +43,7 @@ type t = {
   last_broadcast : int;  (* largest timestamp this process multicast *)
   heard : int Proc.Map.t;  (* largest timestamp heard per member, this view *)
   pending : entry list;  (* sorted by (ts, sender) *)
-  total : entry list;  (* delivered total order, newest first *)
-  count : int;  (* length of [total] *)
+  log : entry Tord_log.t;  (* the delivered total order *)
 }
 
 let create me =
@@ -55,26 +54,12 @@ let create me =
     last_broadcast = 0;
     heard = Proc.Map.empty;
     pending = [];
-    total = [];
-    count = 0;
+    log = Tord_log.empty;
   }
 
 let me t = t.me
 let view t = t.view
-let total_order t = List.rev t.total
-let total_count t = t.count
-
-(* The log suffix past index [k], oldest first — the KV service's
-   stable-delivery cursor reads this (same contract as
-   {!Tord_core.entries_from}). *)
-let entries_from t k =
-  if k >= t.count then []
-  else
-    let rec take n acc = function
-      | e :: rest when n > 0 -> take (n - 1) (e :: acc) rest
-      | _ -> acc
-    in
-    take (t.count - k) [] t.total
+let log t = t.log
 
 (* The flushed-chunk fingerprint a Flush message announces: position,
    timestamp, sender and payload of every flushed entry, digested. *)
@@ -102,7 +87,7 @@ let rec drain t delivered =
   match t.pending with
   | e :: rest when deliverable t e ->
       drain
-        { t with pending = rest; total = e :: t.total; count = t.count + 1 }
+        { t with pending = rest; log = Tord_log.add e t.log }
         (e :: delivered)
   | _ -> (t, List.rev delivered)
 
@@ -176,6 +161,5 @@ let on_view t ~view ~transitional:_ =
       view;
       heard = Proc.Map.empty;
       pending = [];
-      total = List.rev_append flushed t.total;
-      count = t.count + List.length flushed },
+      log = Tord_log.add_all flushed t.log },
     flushed )

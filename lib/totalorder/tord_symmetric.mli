@@ -30,16 +30,8 @@ val me : t -> Proc.t
 val view : t -> View.t
 (** The current view (whose id a {!flush_stamp} announces). *)
 
-val total_order : t -> entry list
-(** The delivered totally ordered prefix, oldest first. *)
-
-val total_count : t -> int
-(** Length of {!total_order} without materialising it. *)
-
-val entries_from : t -> int -> entry list
-(** [entries_from t k] is the suffix of the total order past index
-    [k], oldest first — the stable-delivery cursor contract of
-    {!Tord_core.entries_from}. *)
+val log : t -> entry Tord_log.t
+(** The delivered totally ordered prefix. *)
 
 val flush_digest : entry list -> string
 (** Fingerprint of a flushed chunk (position, timestamp, sender and

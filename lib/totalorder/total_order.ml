@@ -1,13 +1,14 @@
 (* The one interface both total-order arms satisfy (DESIGN.md §16): the
    sequencer arm ({!Tord_client}) and the symmetric arm
-   ({!Tord_sym_client}) are blocking-client components over a GCS
-   end-point that expose a totally ordered log. Everything layered on
-   a total order — the replica, the hosting node, the KV service — is
+   ({!Tord_sym_client}) are instances of one blocking-client shell
+   ({!Tord_shell.Make}) over a GCS end-point, each over its own ordering
+   core, and expose a totally ordered log. Everything layered on a
+   total order — the replica, the hosting node, the KV service — is
    written once against this signature.
 
    Construction is deliberately not part of it: each arm's [initial]
-   takes its own options (the sequencer's [batch_orders]), and the
-   caller hands the resulting state in. *)
+   builds its core with its own options (the sequencer's
+   [batch_orders]), and the caller hands the resulting state in. *)
 
 open Vsgc_types
 

@@ -12,7 +12,10 @@ let view ~num ~members =
     ~set
     ~start_ids:(Proc.Set.fold (fun p m -> Proc.Map.add p 1 m) set Proc.Map.empty)
 
-let payloads t = List.map (fun (e : Core.entry) -> e.Core.payload) (Core.total_order t)
+let payloads t =
+  List.map
+    (fun (e : Core.entry) -> e.Core.payload)
+    (Vsgc_totalorder.Tord_log.to_list (Core.log t))
 
 let test_sequencer_announces () =
   let v = view ~num:1 ~members:[ 0; 1 ] in

@@ -1,7 +1,8 @@
 (* The symmetric (logical-timestamp) total order: agreement everywhere,
    consistency across view changes, and the traffic/latency tradeoff
    against the sequencer variant — the two endpoints of [13]'s adaptive
-   protocol, both atop the same WV_RFIFO substrate. *)
+   protocol, both atop the same WV_RFIFO substrate — plus the
+   blocking-client shell both arms share, tested once over each. *)
 
 open Vsgc_types
 module System = Vsgc_harness.System
@@ -123,6 +124,125 @@ let test_traffic_tradeoff () =
     (Fmt.str "symmetric costs more copies (%d > %d)" sym seq)
     true (sym > seq)
 
+(* -- The blocking-client shell, once over both arms ------------------------ *)
+
+(* Either arm, driven directly through its component functions with no
+   GCS below: the Figure 12 machine is the same shell in both. *)
+module type ARM = sig
+  include Vsgc_totalorder.Total_order.S
+
+  val initial : Proc.t -> t
+end
+
+let arms : (string * (module ARM)) list =
+  [
+    ( "sequencer",
+      (module struct
+        include Seq
+
+        let initial p = Seq.initial p
+      end) );
+    ("symmetric", (module Sym));
+  ]
+
+let view_of members =
+  let set = Proc.Set.of_list members in
+  View.make
+    ~id:(View.Id.make ~num:1 ~origin:0)
+    ~set
+    ~start_ids:(Proc.Set.fold (fun p m -> Proc.Map.add p 1 m) set Proc.Map.empty)
+
+let sends = List.filter_map (function Action.App_send (_, m) -> Some m | _ -> None)
+let block_oks = List.filter (function Action.Block_ok _ -> true | _ -> false)
+
+(* p0 with one payload queued and a block requested. *)
+let queued_then_blocked (type s) (module A : ARM with type t = s) : s =
+  let r = ref (A.initial 0) in
+  A.push r "x";
+  A.apply !r (Action.Block 0)
+
+let test_block_offers_block_ok (module A : ARM) () =
+  let s = A.apply (A.initial 0) (Action.Block 0) in
+  Alcotest.(check int) "Block_ok offered" 1 (List.length (block_oks (A.outputs s)))
+
+let test_blocked_sends_nothing (module A : ARM) () =
+  let s = queued_then_blocked (module A) in
+  Alcotest.(check int) "send offered while only requested" 1
+    (List.length (sends (A.outputs s)));
+  let s = A.apply s (Action.Block_ok 0) in
+  Alcotest.(check int) "no App_send once blocked" 0 (List.length (sends (A.outputs s)))
+
+(* Unblocked by a singleton view, p0 loops its own sends back as GCS
+   deliveries until it falls quiet: the queued payload is then ordered. *)
+let test_view_unblocks (module A : ARM) () =
+  let s = A.apply (queued_then_blocked (module A)) (Action.Block_ok 0) in
+  let s = A.apply s (Action.App_view (0, view_of [ 0 ], Proc.Set.singleton 0)) in
+  Alcotest.(check bool) "a send is offered" true (sends (A.outputs s) <> []);
+  let rec loop s fuel =
+    match sends (A.outputs s) with
+    | m :: _ when fuel > 0 ->
+        let s = A.apply s (Action.App_send (0, m)) in
+        loop (A.apply s (Action.App_deliver (0, 0, m))) (fuel - 1)
+    | _ -> s
+  in
+  let s = loop s 10 in
+  Alcotest.(check (list (pair int string)))
+    "the queued payload went out" [ (0, "x") ] (A.total_order s);
+  Alcotest.(check (list string)) "cursor at 0" [ "x" ] (A.ordered_from s 0);
+  Alcotest.(check (list string))
+    "cursor beyond the log reads empty" [] (A.ordered_from s 5)
+
+let test_crash_silences (module A : ARM) () =
+  let s = queued_then_blocked (module A) in
+  Alcotest.(check int) "send and Block_ok offered" 2 (List.length (A.outputs s));
+  let s = A.apply s (Action.Crash 0) in
+  Alcotest.(check int) "crashed: no output" 0 (List.length (A.outputs s));
+  let s = A.apply s (Action.App_view (0, view_of [ 0 ], Proc.Set.singleton 0)) in
+  Alcotest.(check int) "inputs ignored while crashed" 0 (List.length (A.outputs s));
+  let s = A.apply s (Action.Recover 0) in
+  Alcotest.(check bool) "recovered" false (A.crashed s);
+  Alcotest.(check int) "fresh: no views" 0 (List.length (A.views s));
+  Alcotest.(check int) "fresh: nothing queued" 0 (List.length (A.outputs s))
+
+(* Recover restores the core the component was built with: the
+   sequencer's batching survives a crash. *)
+let test_recover_keeps_batching () =
+  let module Core = Vsgc_totalorder.Tord_core in
+  let backlog s =
+    let s = Seq.apply s (Action.App_view (0, view_of [ 0; 1 ], Proc.Set.singleton 0)) in
+    let data x = Msg.App_msg.make (Core.encode_data x) in
+    let s = Seq.apply s (Action.App_deliver (0, 1, data "a")) in
+    let s = Seq.apply s (Action.App_deliver (0, 1, data "b")) in
+    match sends (Seq.outputs s) with
+    | [ m ] -> Core.decode (Msg.App_msg.payload m)
+    | _ -> Alcotest.fail "expected exactly one announcement send"
+  in
+  let reborn =
+    Seq.apply
+      (Seq.apply (Seq.initial ~batch_orders:true 0) (Action.Crash 0))
+      (Action.Recover 0)
+  in
+  (match backlog reborn with
+  | Core.Order_batch [ (1, 1); (1, 2) ] -> ()
+  | _ -> Alcotest.fail "reborn batching sequencer: want one Order_batch of both");
+  match backlog (Seq.initial 0) with
+  | Core.Order (1, 1) -> ()
+  | _ -> Alcotest.fail "unbatched sequencer: want the head announcement alone"
+
+let shell_cases =
+  List.concat_map
+    (fun (arm, m) ->
+      let case name f =
+        Alcotest.test_case (Fmt.str "shell: %s [%s]" name arm) `Quick (f m)
+      in
+      [
+        case "Block offers Block_ok" test_block_offers_block_ok;
+        case "blocked sends nothing" test_blocked_sends_nothing;
+        case "view unblocks the send" test_view_unblocks;
+        case "Crash silences, Recover restarts" test_crash_silences;
+      ])
+    arms
+
 let suite =
   [
     Alcotest.test_case "symmetric order: agreement" `Quick test_agreement;
@@ -130,4 +250,7 @@ let suite =
       test_order_respects_timestamps;
     Alcotest.test_case "symmetric order: across view change" `Quick test_across_view_change;
     Alcotest.test_case "traffic tradeoff vs sequencer" `Quick test_traffic_tradeoff;
+    Alcotest.test_case "shell: Recover keeps batch_orders [sequencer]" `Quick
+      test_recover_keeps_batching;
   ]
+  @ shell_cases
