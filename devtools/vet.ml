@@ -4,10 +4,11 @@
                             layers + the client-server stack)
      vet inherit            check the inheritance discipline of the
                             WV_RFIFO -> VS_RFIFO+TS -> GCS tower
-     vet effects            audit footprint honesty: coarse fallbacks,
+     vet effects [NAME]     audit footprint honesty: coarse fallbacks,
                             emit/footprint cross-checks, write-set
                             totality over driven runs, inheritance of
-                            declared effects (DESIGN.md §14)
+                            declared effects (DESIGN.md §14); NAME
+                            (e.g. kv-stack) runs only that audit
      vet corpus [DIR]       validate saved schedules against their
                             declared layer's action signature
                             (default test/corpus)
@@ -74,11 +75,13 @@ let inherit_ () =
     0
     (A.Inherit_check.all ())
 
-let effects () =
-  List.fold_left
-    (fun acc (label, diags) -> acc + report label diags)
-    0
-    (A.Effect_check.all ())
+let effects ?name () =
+  match A.Effect_check.select name with
+  | Error msg -> die "%s" msg
+  | Ok audits ->
+      List.fold_left
+        (fun acc (name, run) -> acc + report ("effects " ^ name) (run ()))
+        0 audits
 
 let corpus dir = report ("corpus " ^ dir) (A.Sched_check.check_dir dir)
 
@@ -129,7 +132,7 @@ let () =
     match arg 1 with
     | Some "wiring" -> wiring ()
     | Some "inherit" -> inherit_ ()
-    | Some "effects" -> effects ()
+    | Some "effects" -> effects ?name:(arg 2) ()
     | Some "corpus" -> corpus (Option.value (arg 2) ~default:"test/corpus")
     | Some "fixture" -> (
         match arg 2 with
@@ -147,6 +150,6 @@ let () =
     | Some cmd ->
         die "unknown subcommand %S (wiring|inherit|effects|corpus|fixture|wire|hotpath|all)" cmd
     | None ->
-        die "usage: vet [-json] (wiring|inherit|effects|corpus|fixture NAME|wire|hotpath|all)"
+        die "usage: vet [-json] (wiring|inherit|effects [NAME]|corpus|fixture NAME|wire|hotpath|all)"
   in
   exit (if count = 0 then 0 else 1)

@@ -323,15 +323,24 @@ let inherit_footprints ?(n = 3) () : Diag.t list =
     (List.init n Fun.id)
 
 (* Every shipped composition, as the vet driver runs them. *)
-let all () : (string * Diag.t list) list =
+let audits : (string * (unit -> Diag.t list)) list =
   [
-    ("effects wv", layer `Wv);
-    ("effects vs", layer `Vs);
-    ("effects full", layer `Full);
-    ("effects server-stack", server_stack ());
-    ( "effects kv-stack",
-      kv_stack (module Replica) (fun p -> Replica.component p) );
-    ( "effects kv-sym-stack",
-      kv_stack (module Replica.Sym) (fun p -> Replica.Sym.component p) );
-    ("effects inherit", inherit_footprints ());
+    ("wv", fun () -> layer `Wv);
+    ("vs", fun () -> layer `Vs);
+    ("full", fun () -> layer `Full);
+    ("server-stack", fun () -> server_stack ());
+    ("kv-stack", fun () -> kv_stack (module Replica) (fun p -> Replica.component p));
+    ( "kv-sym-stack",
+      fun () -> kv_stack (module Replica.Sym) (fun p -> Replica.Sym.component p) );
+    ("inherit", fun () -> inherit_footprints ());
   ]
+
+let select = function
+  | None -> Ok audits
+  | Some name -> (
+      match List.assoc_opt name audits with
+      | Some run -> Ok [ (name, run) ]
+      | None ->
+          Error
+            (Fmt.str "unknown effects audit %S (have: %s)" name
+               (String.concat ", " (List.map fst audits))))

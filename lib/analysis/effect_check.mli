@@ -63,5 +63,12 @@ val kv_stack :
 val inherit_footprints : ?n:int -> unit -> Diag.t list
 (** The inheritance cross-check over the end-point tower. *)
 
-val all : unit -> (string * Diag.t list) list
-(** Every shipped composition, as the vet driver runs them. *)
+val audits : (string * (unit -> Diag.t list)) list
+(** Every shipped composition's audit by name ([wv], [vs], [full],
+    [server-stack], [kv-stack], [kv-sym-stack], [inherit]), unrun. *)
+
+val select :
+  string option -> ((string * (unit -> Diag.t list)) list, string) result
+(** The audits [vet effects [NAME]] runs: every one for [None], exactly
+    the named one for [Some name], and an [Error] naming the accepted
+    names for an unknown one. *)

@@ -26,14 +26,13 @@
 
 open Vsgc_types
 module Wv = Vsgc_core.Wv_rfifo
+module Gcs = Vsgc_core.Gcs
 
 module Vid_map = Map.Make (struct
   type t = View.Id.t
 
   let compare = View.Id.compare
 end)
-
-type block_status = Unblocked | Requested | Blocked
 
 type bsync = { view : View.t; cut : Msg.Cut.t }
 
@@ -42,7 +41,7 @@ type t = {
   start_change : Proc.Set.t option;  (* set of the last membership start_change *)
   pending_views : View.t list;  (* membership views, processed in FIFO order *)
   bsyncs : bsync Vid_map.t Proc.Map.t;  (* bsyncs[q][target view id] *)
-  block_status : block_status;
+  block_status : Gcs.block_status;
   crashed : bool;
 }
 
@@ -52,7 +51,7 @@ let initial me =
     start_change = None;
     pending_views = [];
     bsyncs = Proc.Map.empty;
-    block_status = Unblocked;
+    block_status = Gcs.Unblocked;
     crashed = false;
   }
 
@@ -84,7 +83,7 @@ let reliable_target st =
   in
   match target st with Some v' -> Proc.Set.union base (View.set v') | None -> base
 
-let block_enabled st = in_change st && st.block_status = Unblocked
+let block_enabled st = in_change st && st.block_status = Gcs.Unblocked
 
 (* The cut-exchange round, taggable only once the target view is known. *)
 let own_bsync_sent st =
@@ -97,7 +96,7 @@ let bsync_cut st =
     (View.set v) Msg.Cut.empty
 
 let bsync_send_enabled st =
-  st.block_status = Blocked
+  st.block_status = Gcs.Blocked
   && (not (own_bsync_sent st))
   && (match target st with
      | Some v' ->
@@ -225,14 +224,14 @@ let apply st (a : Action.t) =
           let st = { st with pending_views = st.pending_views @ [ v ] } in
           lift st (fun w -> Wv.mbrshp_view_effect w v)
       | Action.Mb_start_change (_, _, set) -> { st with start_change = Some set }
-      | Action.Block_ok _ -> { st with block_status = Blocked }
+      | Action.Block_ok _ -> { st with block_status = Gcs.Blocked }
       | Action.Rf_deliver (q, _, w) -> (
           match w with
           | Msg.Wire.Bsync { vid; view; cut } -> set_bsync st q vid { view; cut }
           | _ -> lift st (fun wst -> Wv.recv wst q w))
       | Action.Crash _ -> { st with crashed = true }
       | Action.Recover _ -> st
-      | Action.Block _ -> { st with block_status = Requested }
+      | Action.Block _ -> { st with block_status = Gcs.Requested }
       | Action.Rf_reliable (_, set) -> lift st (fun w -> Wv.reliable_effect w set)
       | Action.Rf_send (_, _, Msg.Wire.View_msg _) -> lift st Wv.view_msg_send_effect
       | Action.Rf_send (_, _, Msg.Wire.App _) -> lift st Wv.app_msg_send_effect
@@ -244,7 +243,7 @@ let apply st (a : Action.t) =
               pending_views =
                 (match st.pending_views with _ :: rest -> rest | [] -> []);
               start_change = None;
-              block_status = Unblocked }
+              block_status = Gcs.Unblocked }
           in
           lift st (fun w -> Wv.view_effect w v)
       | _ -> st)

@@ -19,8 +19,6 @@ open Vsgc_types
 
 module Vid_map : Map.S with type key = View.Id.t
 
-type block_status = Unblocked | Requested | Blocked
-
 type bsync = { view : View.t; cut : Msg.Cut.t }
 
 type t = {
@@ -28,7 +26,7 @@ type t = {
   start_change : Proc.Set.t option;
   pending_views : View.t list;  (** membership views, processed FIFO *)
   bsyncs : bsync Vid_map.t Proc.Map.t;  (** bsyncs[q][target view id] *)
-  block_status : block_status;
+  block_status : Vsgc_core.Gcs.block_status;
   crashed : bool;
 }
 

@@ -16,7 +16,6 @@ module Endpoint = Vsgc_core.Endpoint
 module Wv = Vsgc_core.Wv_rfifo
 module Vs = Vsgc_core.Vs_rfifo_ts
 module Gcs = Vsgc_core.Gcs
-module Client = Vsgc_core.Client
 
 exception Invariant_violation of { name : string; message : string }
 
@@ -27,7 +26,8 @@ let checkf name cond fmt = if cond then Fmt.kstr ignore fmt else fail name fmt
 
 type snapshot = {
   endpoints : Endpoint.t Proc.Map.t;  (* live (non-crashed) end-point states *)
-  clients : Client.t Proc.Map.t;
+  client_block : Gcs.block_status Proc.Map.t;
+      (* each live client's block status *)
   net : Vsgc_corfifo.state;
   mbrshp : Vsgc_mbrshp.Oracle.state option;
   reborn : Proc.Set.t;
@@ -280,19 +280,11 @@ let inv_6_9 s =
 let inv_6_11 s =
   Proc.Map.iter
     (fun p e ->
-      match Proc.Map.find_opt p s.clients with
+      match Proc.Map.find_opt p s.client_block with
       | None -> ()
-      | Some c ->
-          let g = Endpoint.gcs e in
-          let same =
-            match (g.Gcs.block_status, c.Client.block_status) with
-            | Gcs.Unblocked, Client.Unblocked
-            | Gcs.Requested, Client.Requested
-            | Gcs.Blocked, Client.Blocked -> true
-            | _ -> false
-          in
-          checkf "6.11" same "%a: end-point and client disagree on block status"
-            Proc.pp p)
+      | Some b ->
+          checkf "6.11" ((Endpoint.gcs e).Gcs.block_status = b)
+            "%a: end-point and client disagree on block status" Proc.pp p)
     s.endpoints
 
 (* Invariant 6.12: before the application is blocked, no sync message

@@ -19,7 +19,9 @@ exception Invariant_violation of { name : string; message : string }
 type snapshot = {
   endpoints : Vsgc_core.Endpoint.t Proc.Map.t;
       (** live (non-crashed) end-point states *)
-  clients : Vsgc_core.Client.t Proc.Map.t;
+  client_block : Vsgc_core.Gcs.block_status Proc.Map.t;
+      (** each live client's block status (the blocking client of
+          Figure 12, whatever its core) *)
   net : Vsgc_corfifo.state;
   mbrshp : Vsgc_mbrshp.Oracle.state option;
   reborn : Proc.Set.t;  (** processes that crashed at least once *)

@@ -1,123 +1,41 @@
-(* The blocking application client (paper Figure 12, CLIENT_p : SPEC),
-   made executable and scriptable.
-
-   The client sends the messages queued by the harness whenever it is
-   not blocked, answers every block() with block_ok(), and then
-   refrains from sending until a view is delivered. It logs everything
-   it observes, which is what the integration tests and the liveness
-   checks assert over. *)
+(* The scripted application client: the blocking client of Figure 12
+   ({!Client_shell}) over a core that sends the payloads the harness
+   queues, oldest first, and logs everything it sends and is delivered
+   — the logs the integration tests and the liveness checks assert
+   over. *)
 
 open Vsgc_types
 
-type block_status = Unblocked | Requested | Blocked
-
-type t = {
-  me : Proc.t;
-  block_status : block_status;
-  to_send : Msg.App_msg.t list;  (* oldest first *)
-  send_while_requested : bool;
-      (* the spec allows sending until blocked; scenarios may disable it *)
-  sent : Msg.App_msg.t list;  (* newest first *)
-  delivered : (Proc.t * Msg.App_msg.t) list;  (* newest first *)
-  views : (View.t * Proc.Set.t) list;  (* newest first *)
-  blocks_seen : int;
-  crashed : bool;
-}
-
-let initial ?(send_while_requested = true) me =
-  {
-    me;
-    block_status = Unblocked;
-    to_send = [];
-    send_while_requested;
-    sent = [];
-    delivered = [];
-    views = [];
-    blocks_seen = 0;
-    crashed = false;
+module Scripted = struct
+  type t = {
+    to_send : string list;  (* oldest first *)
+    sent : string list;  (* newest first *)
+    delivered : (Proc.t * string) list;  (* newest first *)
   }
 
-(* -- Scripting API ------------------------------------------------------ *)
+  let name = "client"
+  let empty = { to_send = []; sent = []; delivered = [] }
+  let push t payload = { t with to_send = t.to_send @ [ payload ] }
+  let next_send t = match t.to_send with s :: _ -> Some s | [] -> None
 
-let push (r : t ref) payload =
-  r := { !r with to_send = !r.to_send @ [ Msg.App_msg.make payload ] }
-
-let push_many r payloads = List.iter (push r) payloads
-
-let sent t = List.rev t.sent
-let delivered t = List.rev t.delivered
-let views t = List.rev t.views
-let delivered_from t q = List.filter_map (fun (s, m) -> if Proc.equal s q then Some m else None) (delivered t)
-let last_view t = match t.views with [] -> None | (v, tset) :: _ -> Some (v, tset)
-
-(* -- Component ----------------------------------------------------------- *)
-
-let outputs t =
-  if t.crashed then []
-  else
-    let acc = if t.block_status = Requested then [ Action.Block_ok t.me ] else [] in
+  let on_sent t s =
     match t.to_send with
-    | m :: _
-      when t.block_status = Unblocked
-           || (t.block_status = Requested && t.send_while_requested) ->
-        Action.App_send (t.me, m) :: acc
-    | _ -> acc
-
-let accepts me (a : Action.t) =
-  match a with
-  | Action.App_deliver (p, _, _) | Action.App_view (p, _, _) | Action.Block p
-  | Action.Crash p | Action.Recover p -> Proc.equal p me
-  | _ -> false
-
-let apply t (a : Action.t) =
-  if t.crashed then
-    match a with Action.Recover p when Proc.equal p t.me -> initial ~send_while_requested:t.send_while_requested t.me | _ -> t
-  else
-    match a with
-    | Action.App_send (_, m) -> (
-        match t.to_send with
-        | m' :: rest when Msg.App_msg.equal m m' ->
-            { t with to_send = rest; sent = m :: t.sent }
-        | _ -> t)
-    | Action.Block_ok _ -> { t with block_status = Blocked }
-    | Action.Block _ -> { t with block_status = Requested; blocks_seen = t.blocks_seen + 1 }
-    | Action.App_deliver (_, q, m) -> { t with delivered = (q, m) :: t.delivered }
-    | Action.App_view (_, v, tset) ->
-        { t with views = (v, tset) :: t.views; block_status = Unblocked }
-    | Action.Crash _ -> { t with crashed = true }
+    | s' :: rest when String.equal s s' -> { t with to_send = rest; sent = s :: t.sent }
     | _ -> t
 
-(* The client's whole state is co-located with its end-point at me:
-   both live in the Proc_state me cell. *)
-let footprint me (a : Action.t) =
-  let open Vsgc_ioa.Footprint in
-  match a with
-  | Action.App_send (p, _) | Action.Block_ok p | Action.App_deliver (p, _, _)
-  | Action.App_view (p, _, _) | Action.Block p | Action.Crash p | Action.Recover p
-    when Proc.equal p me -> rw [ Proc_state me ]
-  | _ -> empty
+  let on_deliver t q s = { t with delivered = (q, s) :: t.delivered }
+  let on_view t _ _ = t
 
-let emits me (a : Action.t) =
-  match a with
-  | Action.App_send (p, _) | Action.Block_ok p -> Proc.equal p me
-  | _ -> false
+  include Client_shell.Silent
+end
 
-(* All client state is co-located at [me] — one shadow slice. *)
-let observe me (st : t) =
-  [ (Vsgc_ioa.Footprint.Proc_state me, Vsgc_ioa.Component.digest st) ]
+include Client_shell.Make (Scripted)
 
-let def me : t Vsgc_ioa.Component.def =
-  {
-    name = Fmt.str "client_%a" Proc.pp me;
-    init = initial me;
-    accepts = accepts me;
-    outputs;
-    apply;
-    footprint = footprint me;
-    emits = emits me;
-    observe = observe me;
-  }
+let initial me = make me Scripted.empty
+let component me = component_of (initial me)
+let push_many r payloads = List.iter (push r) payloads
+let sent t = List.rev_map Msg.App_msg.make (core t).sent
+let delivered t = List.rev_map (fun (q, s) -> (q, Msg.App_msg.make s)) (core t).delivered
 
-let component ?send_while_requested me =
-  let r = ref (initial ?send_while_requested me) in
-  (Vsgc_ioa.Component.pack_with_ref (def me) r, r)
+let delivered_from t q =
+  List.filter_map (fun (s, m) -> if Proc.equal s q then Some m else None) (delivered t)

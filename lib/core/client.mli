@@ -1,35 +1,17 @@
-(** The blocking application client (paper Figure 12, CLIENT_p : SPEC),
-    executable and scriptable.
-
-    The client sends the payloads queued by the harness whenever it is
-    not blocked, answers block() with block_ok(), and refrains from
-    sending until a view is delivered. It logs everything it observes —
-    the integration tests and the liveness assertions read the logs. *)
+(** The scripted application client: the blocking client of Figure 12
+    (CLIENT_p : SPEC, {!Client_shell}) over a core that multicasts the
+    payloads the harness queues and logs what it sends and is
+    delivered — the integration tests and the liveness assertions read
+    the logs. Its component is named [client_p]. *)
 
 open Vsgc_types
 
-type block_status = Unblocked | Requested | Blocked
+type t
 
-type t = {
-  me : Proc.t;
-  block_status : block_status;
-  to_send : Msg.App_msg.t list;  (** oldest first *)
-  send_while_requested : bool;
-      (** Figure 12 allows sending until block_ok; scenarios may
-          disable it for determinism *)
-  sent : Msg.App_msg.t list;  (** newest first *)
-  delivered : (Proc.t * Msg.App_msg.t) list;  (** newest first *)
-  views : (View.t * Proc.Set.t) list;  (** newest first *)
-  blocks_seen : int;
-  crashed : bool;
-}
+val initial : Proc.t -> t
+val component : Proc.t -> Vsgc_ioa.Component.packed * t ref
 
-val initial : ?send_while_requested:bool -> Proc.t -> t
-
-(** {1 Scripting and observation} *)
-
-val push : t ref -> string -> unit
-(** Queue a payload for multicast. *)
+include Client_shell.S with type t := t
 
 val push_many : t ref -> string list -> unit
 
@@ -37,15 +19,6 @@ val sent : t -> Msg.App_msg.t list
 (** Oldest first. *)
 
 val delivered : t -> (Proc.t * Msg.App_msg.t) list
-val views : t -> (View.t * Proc.Set.t) list
+(** Oldest first. *)
+
 val delivered_from : t -> Proc.t -> Msg.App_msg.t list
-val last_view : t -> (View.t * Proc.Set.t) option
-
-(** {1 Component} *)
-
-val outputs : t -> Action.t list
-val accepts : Proc.t -> Action.t -> bool
-val apply : t -> Action.t -> t
-val def : Proc.t -> t Vsgc_ioa.Component.def
-val component :
-  ?send_while_requested:bool -> Proc.t -> Vsgc_ioa.Component.packed * t ref

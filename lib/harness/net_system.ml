@@ -51,8 +51,8 @@ type t = {
   servers : (Server.t * (Node.t * Transport.t)) list;  (* ascending *)
   script : Oracle.state ref;  (* drives membership when servers = [] *)
   layer : Vsgc_core.Endpoint.layer;
-  scripted : (Proc.t * Vsgc_core.Client.t ref) list;
-      (* the hosted scripted clients; empty on the symmetric arm *)
+  blocks : (Proc.t * (unit -> Vsgc_core.Gcs.block_status option)) list;
+      (* each hosted client's block status, None while crashed *)
   base_links : (Node_id.t * Node_id.t) list;  (* topology at create *)
   mutable partition : Node_id.t list list option;  (* None = healed *)
   mutable down_nodes : Node_id.t list;  (* currently crashed clients *)
@@ -67,18 +67,25 @@ let create ?(seed = 42) ?knobs ?(layer = `Full) ?(arm = `Gcs) ~n
     ?(n_servers = 0) () =
   let hub = Loopback.hub ~seed ?knobs () in
   (* The arm picks the hosted app (DESIGN.md §16.2): the sequencer arm
-     hosts the scripted application client, whose refs the snapshot
-     reads; the symmetric arm its total-order client. *)
-  let scripted = ref [] in
+     hosts the scripted application client, the symmetric arm its
+     total-order client. Both are the blocking client of Figure 12,
+     whose block status the snapshot reads. *)
+  let blocks = ref [] in
+  let status (type a) (module S : Vsgc_core.Client_shell.S with type t = a) p r =
+    let read () = if S.crashed !r then None else Some (S.block_status !r) in
+    blocks := (p, read) :: !blocks
+  in
   let app p =
     match arm with
     | `Gcs ->
-        let component, client = Vsgc_core.Client.component p in
-        scripted := (p, client) :: !scripted;
-        Node.client_app (component, client)
+        let ((_, r) as c) = Vsgc_core.Client.component p in
+        status (module Vsgc_core.Client) p r;
+        Node.client_app c
     | `Sym ->
         let module O = Vsgc_totalorder.Tord_sym_client in
-        Node.order_app (module O) (O.component p)
+        let ((_, r) as c) = O.component p in
+        status (module O) p r;
+        Node.order_app (module O) c
   in
   let clients =
     List.init n (fun p ->
@@ -123,7 +130,7 @@ let create ?(seed = 42) ?knobs ?(layer = `Full) ?(arm = `Gcs) ~n
     servers;
     script = ref Oracle.initial;
     layer;
-    scripted = !scripted;
+    blocks = !blocks;
     base_links = List.rev !base_links;
     partition = None;
     down_nodes = [];
@@ -320,18 +327,15 @@ let snapshot t : Vsgc_checker.Invariants.snapshot =
         if Vsgc_core.Endpoint.crashed ep then m else Proc.Map.add p ep m)
       Proc.Map.empty t.clients
   in
-  (* The symmetric arm hosts no [Client] automaton, so its snapshot
-     carries an empty client map: the client-level invariants hold
-     vacuously, and the Skeen monitor does the arm's checking. *)
-  let clients =
+  let client_block =
     List.fold_left
-      (fun m (p, c) ->
-        if !c.Vsgc_core.Client.crashed then m else Proc.Map.add p !c m)
-      Proc.Map.empty t.scripted
+      (fun m (p, status) ->
+        match status () with Some b -> Proc.Map.add p b m | None -> m)
+      Proc.Map.empty t.blocks
   in
   {
     endpoints;
-    clients;
+    client_block;
     (* The wire state lives in the hub as frames, not as CO_RFIFO
        channel contents; at the quiescent points where this snapshot
        is taken the channels are empty, which [initial] renders. *)

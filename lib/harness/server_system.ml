@@ -20,8 +20,7 @@ type t = {
 (* Client p is attached to server (p mod n_servers). *)
 let server_of t p = Proc.to_int p mod t.n_servers
 
-let create ?seed ?weights ?strategy ?layer ?monitors ?send_while_requested
-    ?endpoint_builder ~n_clients ~n_servers () =
+let create ?seed ?weights ?strategy ?layer ?monitors ?endpoint_builder ~n_clients ~n_servers () =
   if n_servers <= 0 then invalid_arg "Server_system.create: need at least one server";
   let server_set = Server.Set.of_range 0 (n_servers - 1) in
   let clients_of s =
@@ -40,7 +39,7 @@ let create ?seed ?weights ?strategy ?layer ?monitors ?send_while_requested
       server_set (Server.Map.empty, [])
   in
   let sys =
-    System.create ?seed ?weights ?strategy ?layer ?monitors ?send_while_requested
+    System.create ?seed ?weights ?strategy ?layer ?monitors
       ?endpoint_builder ~with_oracle:false
       ~extra_components:(srv_net_c :: server_cs)
       ~extra_budgets:[ Srv_net.round_budget srv_net ]

@@ -14,7 +14,6 @@ val create :
   ?strategy:Vsgc_core.Forwarding.kind ->
   ?layer:Vsgc_core.Endpoint.layer ->
   ?monitors:System.monitors ->
-  ?send_while_requested:bool ->
   ?endpoint_builder:(Proc.t -> Vsgc_ioa.Component.packed) ->
   n_clients:int ->
   n_servers:int ->

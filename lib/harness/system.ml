@@ -27,7 +27,7 @@ type monitors = [ `All | `Wv | `None ]
 let create ?(seed = 42) ?weights ?strategy ?gc ?compact_sync ?hierarchy ?mutation
     ?(layer = `Full) ?(monitors = `All)
     ?(with_oracle = true) ?(extra_components = []) ?(extra_budgets = [])
-    ?(send_while_requested = true) ?endpoint_builder ?client_builder ~n () =
+    ?endpoint_builder ?client_builder ~n () =
   let procs = Proc.Set.of_range 0 (n - 1) in
   let corfifo_c, corfifo = Vsgc_corfifo.component () in
   let oracle_pair = if with_oracle then Some (Vsgc_mbrshp.Oracle.component ()) else None in
@@ -56,7 +56,7 @@ let create ?(seed = 42) ?weights ?strategy ?gc ?compact_sync ?hierarchy ?mutatio
     | None ->
         Proc.Set.fold
           (fun p (m, cs) ->
-            let c, r = Vsgc_core.Client.component ~send_while_requested p in
+            let c, r = Vsgc_core.Client.component p in
             (Proc.Map.add p r m, c :: cs))
           procs (Proc.Map.empty, [])
   in
@@ -107,14 +107,16 @@ let snapshot t : Vsgc_checker.Invariants.snapshot =
       (fun _ r -> if Vsgc_core.Endpoint.crashed !r then None else Some !r)
       t.endpoints
   in
-  let clients =
+  let client_block =
     Proc.Map.filter_map
-      (fun _ r -> if !r.Vsgc_core.Client.crashed then None else Some !r)
+      (fun _ r ->
+        if Vsgc_core.Client.crashed !r then None
+        else Some (Vsgc_core.Client.block_status !r))
       t.clients
   in
   {
     endpoints;
-    clients;
+    client_block;
     net = !(t.corfifo);
     mbrshp = Option.map ( ! ) t.oracle;
     reborn = !(t.ever_crashed);

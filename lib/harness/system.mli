@@ -27,7 +27,6 @@ val create :
   ?with_oracle:bool ->
   ?extra_components:Vsgc_ioa.Component.packed list ->
   ?extra_budgets:(unit -> Sync_runner.budget) list ->
-  ?send_while_requested:bool ->
   ?endpoint_builder:(Proc.t -> Vsgc_ioa.Component.packed) ->
   ?client_builder:(Proc.t -> Vsgc_ioa.Component.packed) ->
   n:int ->

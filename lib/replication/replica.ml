@@ -171,6 +171,7 @@ module Make (O : Vsgc_totalorder.Total_order.S) = struct
   let views t = O.views t.tc
   let last_view t = O.last_view t.tc
   let crashed t = O.crashed t.tc
+  let block_status t = O.block_status t.tc
 
   (* The cursor the incremental KV store ({!Vsgc_kv.Kv_store}) consumes
      the log through, instead of refolding [state] per request. *)

@@ -1,5 +1,5 @@
 (* The totally-ordered-multicast application component: the
-   blocking-client shell ({!Tord_shell}, Figure 12) over the sequencer
+   blocking-client shell of Figure 12 ({!Tord_shell}) over the sequencer
    core {!Tord_core}. This module supplies only the sequencer's send
    queues.
 
@@ -31,7 +31,6 @@ module Core = struct
   let log t = Tord_core.log t.order
   let sender (e : entry) = e.sender
   let payload (e : entry) = e.payload
-  let report = None
   let push t payload = { t with to_send = t.to_send @ [ Tord_core.encode_data payload ] }
 
   (* The pending announcement multicast, if any: the head alone, or the
@@ -64,13 +63,15 @@ module Core = struct
         | d :: rest when String.equal d s -> { t with to_send = rest }
         | _ -> t)
 
-  let on_deliver t ~sender ~payload =
-    let order, newly, announcements = Tord_core.on_deliver t.order ~sender ~payload in
-    ({ t with order; announce_queue = t.announce_queue @ announcements }, newly)
+  let on_deliver t sender payload =
+    let order, _, announcements = Tord_core.on_deliver t.order ~sender ~payload in
+    { t with order; announce_queue = t.announce_queue @ announcements }
 
-  let on_view t ~view ~transitional =
-    let order, flushed = Tord_core.on_view t.order ~view ~transitional in
-    ({ t with order; announce_queue = [] }, flushed)
+  let on_view t view transitional =
+    let order, _ = Tord_core.on_view t.order ~view ~transitional in
+    { t with order; announce_queue = [] }
+
+  include Vsgc_core.Client_shell.Silent
 end
 
 include Tord_shell.Make (Core)

@@ -1,5 +1,5 @@
 (* The symmetric-total-order application component: the blocking-client
-   shell ({!Tord_shell}, Figure 12) over the symmetric core
+   shell of Figure 12 ({!Tord_shell}) over the symmetric core
    {!Tord_symmetric}. This module supplies only its send discipline and
    its delivery reports.
 
@@ -11,26 +11,29 @@
    acknowledgment — each class supersedes the ones after it.
 
    Every append to the local total order is reported as a
-   {!Action.Sym_deliver} output: the queue head is exposed, the effect
-   pops it. The reports carry no protocol state — they exist so the
-   Skeen trace monitor (and the socket harness) can observe
-   implementation deliveries and check them against the specification's
+   {!Action.Sym_deliver} output, the core's own output in the shell:
+   the head of the report queue is exposed, the effect pops it. The
+   reports carry no protocol state — they exist so the Skeen trace
+   monitor (and the socket harness) can observe implementation
+   deliveries and check them against the specification's
    deliverability condition. *)
 
+open Vsgc_types
+
 module Core = struct
+  type entry = Tord_symmetric.entry
+
   type t = {
     order : Tord_symmetric.t;
     to_send : string list;  (* raw payloads, oldest first *)
     flush_due : string option;  (* flushed-chunk digest owed as a Flush *)
+    reports : entry list;  (* ordered entries not yet reported, oldest first *)
   }
-
-  type entry = Tord_symmetric.entry
 
   let name = "tord_sym"
   let log t = Tord_symmetric.log t.order
   let sender (e : entry) = e.sender
   let payload (e : entry) = e.payload
-  let report = Some (fun (e : entry) -> (e.sender, e.ts, e.payload))
   let push t payload = { t with to_send = t.to_send @ [ payload ] }
 
   (* The next wire payload, recomputed identically by outputs and apply:
@@ -61,18 +64,29 @@ module Core = struct
               { t with order = Tord_symmetric.ack_sent t.order }
             else t)
 
-  let on_deliver t ~sender ~payload =
+  let on_deliver t sender payload =
     let order, newly = Tord_symmetric.on_deliver t.order ~sender ~payload in
-    ({ t with order }, newly)
+    { t with order; reports = t.reports @ newly }
 
-  let on_view t ~view ~transitional =
+  let on_view t view transitional =
     let order, flushed = Tord_symmetric.on_view t.order ~view ~transitional in
-    ({ t with order; flush_due = Some (Tord_symmetric.flush_digest flushed) }, flushed)
+    { t with
+      order;
+      flush_due = Some (Tord_symmetric.flush_digest flushed);
+      reports = t.reports @ flushed }
+
+  let report me t acc =
+    match t.reports with
+    | e :: _ -> Action.Sym_deliver (me, e.sender, e.ts, e.payload) :: acc
+    | [] -> acc
+
+  let reported t = match t.reports with [] -> t | _ :: rest -> { t with reports = rest }
+  let reports me = function Action.Sym_deliver (p, _, _, _) -> Proc.equal p me | _ -> false
 end
 
 include Tord_shell.Make (Core)
 
 let initial me =
-  make me { order = Tord_symmetric.create me; to_send = []; flush_due = None }
+  make me { order = Tord_symmetric.create me; to_send = []; flush_due = None; reports = [] }
 
 let component me = component_of (initial me)

@@ -1,7 +1,11 @@
 (* A persistent FIFO queue (two-list representation).
 
    Used for CO_RFIFO channels: O(1) amortized enqueue/dequeue, plus the
-   [drop_last] operation the lose(p,q) action needs. *)
+   [drop_last] operation the lose(p,q) action needs.
+
+   Invariant: [front] is empty only when the whole queue is, so [peek]
+   is O(1); [push] and [pop] keep it, reversing [back] once when
+   [front] runs out. *)
 
 type 'a t = { front : 'a list; back : 'a list; length : int }
 
@@ -9,21 +13,17 @@ let empty = { front = []; back = []; length = 0 }
 let length t = t.length
 let is_empty t = t.length = 0
 
-let push t x = { t with back = x :: t.back; length = t.length + 1 }
-
-let norm t =
+let push t x =
   match t.front with
-  | [] -> { t with front = List.rev t.back; back = [] }
-  | _ :: _ -> t
+  | [] -> { front = [ x ]; back = []; length = 1 }
+  | _ :: _ -> { t with back = x :: t.back; length = t.length + 1 }
 
-let peek t =
-  let t = norm t in
-  match t.front with [] -> None | x :: _ -> Some x
+let peek t = match t.front with [] -> None | x :: _ -> Some x
 
 let pop t =
-  let t = norm t in
   match t.front with
   | [] -> None
+  | [ x ] -> Some (x, { front = List.rev t.back; back = []; length = t.length - 1 })
   | x :: front -> Some (x, { t with front; length = t.length - 1 })
 
 let drop_last t =

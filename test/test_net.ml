@@ -210,6 +210,28 @@ let test_tcp_survives_dead_peer () =
         (Transport.recv a));
   Transport.close a
 
+(* On the symmetric arm the snapshot reads every live total-order
+   shell's block status, so invariant 6.11 judges that arm too. *)
+let test_sym_snapshot_judged () =
+  let net = Net_system.create ~arm:`Sym ~n:3 () in
+  ignore (Net_system.reconfigure net ~set:(Proc.Set.of_range 0 2));
+  Net_system.send net 0 "x";
+  Net_system.run net;
+  Net_system.crash_client net 2;
+  Net_system.run net;
+  Net_system.check_invariants net;
+  let snap = Net_system.snapshot net in
+  Alcotest.(check (list int))
+    "the live shells' statuses" [ 0; 1 ]
+    (List.map fst (Proc.Map.bindings snap.client_block));
+  let disagree =
+    { snap with client_block = Proc.Map.add 0 Vsgc_core.Gcs.Blocked snap.client_block }
+  in
+  match Vsgc_checker.Invariants.inv_6_11 disagree with
+  | () -> Alcotest.fail "6.11 missed a shell that disagrees with its end-point"
+  | exception Vsgc_checker.Invariants.Invariant_violation { name; _ } ->
+      Alcotest.(check string) "6.11 fires" "6.11" name
+
 let suite =
   [
     Alcotest.test_case "loopback = in-memory (single sender)" `Quick
@@ -224,4 +246,6 @@ let suite =
       test_node_survives_malformed;
     Alcotest.test_case "tcp: a dead peer costs the link, not the process"
       `Quick test_tcp_survives_dead_peer;
+    Alcotest.test_case "sym arm: 6.11 judges its shells" `Quick
+      test_sym_snapshot_judged;
   ]

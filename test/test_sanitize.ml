@@ -283,12 +283,12 @@ let test_counters () =
 
 let test_effects_pass_clean () =
   List.iter
-    (fun (label, diags) ->
+    (fun (name, run) ->
       Alcotest.(check (list string))
-        (Fmt.str "vet %s clean" label)
+        (Fmt.str "vet effects %s clean" name)
         []
-        (List.map Diag.to_string diags))
-    (Vsgc_analysis.Effect_check.all ())
+        (List.map Diag.to_string (run ())))
+    Vsgc_analysis.Effect_check.audits
 
 let test_diag_json () =
   let d =

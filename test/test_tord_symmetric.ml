@@ -2,7 +2,8 @@
    consistency across view changes, and the traffic/latency tradeoff
    against the sequencer variant — the two endpoints of [13]'s adaptive
    protocol, both atop the same WV_RFIFO substrate — plus the
-   blocking-client shell both arms share, tested once over each. *)
+   blocking-client shell of Figure 12, tested once over each of its
+   instances: the scripted client and both arms. *)
 
 open Vsgc_types
 module System = Vsgc_harness.System
@@ -124,26 +125,38 @@ let test_traffic_tradeoff () =
     (Fmt.str "symmetric costs more copies (%d > %d)" sym seq)
     true (sym > seq)
 
-(* -- The blocking-client shell, once over both arms ------------------------ *)
+(* -- The blocking-client shell, once over every instance ------------------ *)
 
-(* Either arm, driven directly through its component functions with no
-   GCS below: the Figure 12 machine is the same shell in both. *)
+(* An instance driven directly through its component functions with no
+   GCS below: the Figure 12 machine is the same shell in all three. *)
+module type SHELL = sig
+  include Vsgc_core.Client_shell.S
+
+  val initial : Proc.t -> t
+end
+
+(* A total-order arm: the shell plus its ordered log. *)
 module type ARM = sig
   include Vsgc_totalorder.Total_order.S
 
   val initial : Proc.t -> t
 end
 
-let arms : (string * (module ARM)) list =
-  [
-    ( "sequencer",
-      (module struct
-        include Seq
+module Seq_arm = struct
+  include Seq
 
-        let initial p = Seq.initial p
-      end) );
+  let initial p = Seq.initial p
+end
+
+let shells : (string * (module SHELL)) list =
+  [
+    ("scripted", (module Vsgc_core.Client));
+    ("sequencer", (module Seq_arm));
     ("symmetric", (module Sym));
   ]
+
+let arms : (string * (module ARM)) list =
+  [ ("sequencer", (module Seq_arm)); ("symmetric", (module Sym)) ]
 
 let view_of members =
   let set = Proc.Set.of_list members in
@@ -156,28 +169,40 @@ let sends = List.filter_map (function Action.App_send (_, m) -> Some m | _ -> No
 let block_oks = List.filter (function Action.Block_ok _ -> true | _ -> false)
 
 (* p0 with one payload queued and a block requested. *)
-let queued_then_blocked (type s) (module A : ARM with type t = s) : s =
+let queued_then_blocked (type s) (module A : SHELL with type t = s) : s =
   let r = ref (A.initial 0) in
   A.push r "x";
   A.apply !r (Action.Block 0)
 
-let test_block_offers_block_ok (module A : ARM) () =
+let test_block_offers_block_ok (module A : SHELL) () =
   let s = A.apply (A.initial 0) (Action.Block 0) in
-  Alcotest.(check int) "Block_ok offered" 1 (List.length (block_oks (A.outputs s)))
+  Alcotest.(check int) "Block_ok offered" 1 (List.length (block_oks (A.outputs s)));
+  Alcotest.(check bool) "status requested" true
+    (A.block_status s = Vsgc_core.Gcs.Requested)
 
-let test_blocked_sends_nothing (module A : ARM) () =
+let test_blocked_sends_nothing (module A : SHELL) () =
   let s = queued_then_blocked (module A) in
   Alcotest.(check int) "send offered while only requested" 1
     (List.length (sends (A.outputs s)));
   let s = A.apply s (Action.Block_ok 0) in
   Alcotest.(check int) "no App_send once blocked" 0 (List.length (sends (A.outputs s)))
 
-(* Unblocked by a singleton view, p0 loops its own sends back as GCS
-   deliveries until it falls quiet: the queued payload is then ordered. *)
-let test_view_unblocks (module A : ARM) () =
+(* Blocked p0 with its payload still queued, then a singleton view. *)
+let unblocked_by_view (type s) (module A : SHELL with type t = s) : s =
   let s = A.apply (queued_then_blocked (module A)) (Action.Block_ok 0) in
-  let s = A.apply s (Action.App_view (0, view_of [ 0 ], Proc.Set.singleton 0)) in
-  Alcotest.(check bool) "a send is offered" true (sends (A.outputs s) <> []);
+  A.apply s (Action.App_view (0, view_of [ 0 ], Proc.Set.singleton 0))
+
+let test_view_unblocks (module A : SHELL) () =
+  let s = unblocked_by_view (module A) in
+  Alcotest.(check bool) "status unblocked" true
+    (A.block_status s = Vsgc_core.Gcs.Unblocked);
+  Alcotest.(check int) "one view" 1 (List.length (A.views s));
+  Alcotest.(check bool) "a send is offered" true (sends (A.outputs s) <> [])
+
+(* Unblocked, p0 loops its own sends back as GCS deliveries until it
+   falls quiet: the queued payload is then ordered. *)
+let test_view_orders (module A : ARM) () =
+  let s = unblocked_by_view (module A) in
   let rec loop s fuel =
     match sends (A.outputs s) with
     | m :: _ when fuel > 0 ->
@@ -192,7 +217,7 @@ let test_view_unblocks (module A : ARM) () =
   Alcotest.(check (list string))
     "cursor beyond the log reads empty" [] (A.ordered_from s 5)
 
-let test_crash_silences (module A : ARM) () =
+let test_crash_silences (module A : SHELL) () =
   let s = queued_then_blocked (module A) in
   Alcotest.(check int) "send and Block_ok offered" 2 (List.length (A.outputs s));
   let s = A.apply s (Action.Crash 0) in
@@ -229,19 +254,22 @@ let test_recover_keeps_batching () =
   | Core.Order (1, 1) -> ()
   | _ -> Alcotest.fail "unbatched sequencer: want the head announcement alone"
 
+let case name instance f =
+  Alcotest.test_case (Fmt.str "shell: %s [%s]" name instance) `Quick f
+
 let shell_cases =
   List.concat_map
-    (fun (arm, m) ->
-      let case name f =
-        Alcotest.test_case (Fmt.str "shell: %s [%s]" name arm) `Quick (f m)
-      in
+    (fun (instance, m) ->
       [
-        case "Block offers Block_ok" test_block_offers_block_ok;
-        case "blocked sends nothing" test_blocked_sends_nothing;
-        case "view unblocks the send" test_view_unblocks;
-        case "Crash silences, Recover restarts" test_crash_silences;
+        case "Block offers Block_ok" instance (test_block_offers_block_ok m);
+        case "blocked sends nothing" instance (test_blocked_sends_nothing m);
+        case "view unblocks the send" instance (test_view_unblocks m);
+        case "Crash silences, Recover restarts" instance (test_crash_silences m);
       ])
-    arms
+    shells
+  @ List.map
+      (fun (arm, m) -> case "the unblocked send is ordered" arm (test_view_orders m))
+      arms
 
 let suite =
   [

@@ -8,20 +8,40 @@ let mk t = QCheck_alcotest.to_alcotest ~rand t
 (* -- Fqueue: behaves as a list queue -------------------------------------- *)
 
 let gen_ops =
-  QCheck.Gen.(list_size (int_range 0 40) (frequency [ (3, map (fun n -> `Push n) small_int); (2, return `Pop); (1, return `Drop_last) ]))
+  QCheck.Gen.(
+    list_size (int_range 0 40)
+      (frequency
+         [
+           (3, map (fun n -> `Push n) small_int);
+           (2, return `Pop);
+           (2, return `Peek);
+           (1, return `Drop_last);
+         ]))
 
 let arb_ops =
   QCheck.make gen_ops ~print:(fun ops ->
       String.concat ";"
         (List.map
-           (function `Push n -> Fmt.str "push %d" n | `Pop -> "pop" | `Drop_last -> "drop")
+           (function
+             | `Push n -> Fmt.str "push %d" n
+             | `Pop -> "pop"
+             | `Peek -> "peek"
+             | `Drop_last -> "drop")
            ops))
 
+(* Every operation against a plain list, with the contents and the
+   length compared after each step. *)
 let fqueue_model =
   QCheck.Test.make ~count:300 ~name:"Fqueue behaves as a list queue" arb_ops (fun ops ->
+      let agree (q, model) =
+        if Fqueue.to_list q = model && Fqueue.length q = List.length model then (q, model)
+        else QCheck.Test.fail_report "contents or length mismatch"
+      in
       let q, model =
         List.fold_left
           (fun (q, model) op ->
+            agree
+            @@
             match op with
             | `Push n -> (Fqueue.push q n, model @ [ n ])
             | `Pop -> (
@@ -29,6 +49,11 @@ let fqueue_model =
                 | Some (x, q'), m :: rest when x = m -> (q', rest)
                 | None, [] -> (q, [])
                 | _ -> QCheck.Test.fail_report "pop mismatch")
+            | `Peek -> (
+                match (Fqueue.peek q, model) with
+                | Some x, m :: _ when x = m -> (q, model)
+                | None, [] -> (q, model)
+                | _ -> QCheck.Test.fail_report "peek mismatch")
             | `Drop_last -> (
                 match (Fqueue.drop_last q, List.rev model) with
                 | Some q', _ :: rev_rest -> (q', List.rev rev_rest)

@@ -73,6 +73,33 @@ let test_sched_rejects () =
     (fun c -> check (c ^ " detected") true (has_check c diags))
     [ "owner-range"; "unknown-action"; "layer-mismatch"; "locus-range" ]
 
+(* [vet effects NAME]: a name selects exactly its audit, no name
+   selects every audit, and an unknown name is an error that lists the
+   accepted ones. *)
+let test_effects_select () =
+  let names = function Ok l -> List.map fst l | Error e -> Alcotest.fail e in
+  Alcotest.(check (list string))
+    "kv-stack selects one audit" [ "kv-stack" ]
+    (names (A.Effect_check.select (Some "kv-stack")));
+  Alcotest.(check (list string))
+    "no name selects every audit"
+    (List.map fst A.Effect_check.audits)
+    (names (A.Effect_check.select None))
+
+let test_effects_unknown () =
+  match A.Effect_check.select (Some "kv-stak") with
+  | Ok _ -> Alcotest.fail "a mistyped audit name was accepted"
+  | Error msg ->
+      let mentions s =
+        let n = String.length s in
+        let rec at i =
+          i + n <= String.length msg && (String.sub msg i n = s || at (i + 1))
+        in
+        at 0
+      in
+      check "the error lists the accepted names" true
+        (List.for_all (fun (name, _) -> mentions name) A.Effect_check.audits)
+
 let suite =
   [
     Alcotest.test_case "miswiring fixtures are seen" `Quick test_fixtures;
@@ -82,4 +109,7 @@ let suite =
     Alcotest.test_case "corpus schedules validate" `Quick test_corpus_clean;
     Alcotest.test_case "out-of-signature schedules are rejected" `Quick
       test_sched_rejects;
+    Alcotest.test_case "effects NAME selects one audit" `Quick test_effects_select;
+    Alcotest.test_case "effects with an unknown name is an error" `Quick
+      test_effects_unknown;
   ]
